@@ -233,39 +233,24 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 # consecutive visits).  Those segments are invariant under rewiring at v, so a
 # candidate matching is a permutation of segments and is acceptable exactly
 # when that permutation is a single cycle.
+#
+# A vertex block is rewired on one plain arc list: the arrivals at v are the
+# positions of its in-arcs, a forbidden wiring is read off a successor map
+# built once per call, and the segments are re-joined by slicing.  The walk is
+# validated, as a Circuit, once when the block is done.
 
 
-def _segments_at(vertex: int, circuit: Circuit):
-    arcs = circuit.graph.arcs
-    seq = circuit.arc_seq
+def _rewire_search(seq: list[int], arrivals: list[int], forbidden_pairs: set):
+    """First perfect matching (lexicographic by arc ids) avoiding
+    forbidden_pairs whose segment permutation is a single cycle, laid out as
+    a new arc list; None if there is none.  `arrivals` are the ascending
+    positions of the vertex's in-arcs in `seq`."""
     n = len(seq)
-    arrivals = [i for i, aid in enumerate(seq) if arcs[aid].head == vertex]
-    if not arrivals:
-        raise ParameterOutOfRange(f"circuit never visits vertex {vertex}")
     d = len(arrivals)
-    segments = []  # (start_pos, end_pos) inclusive, cyclic slices
-    for j in range(d):
-        start = (arrivals[j - 1] + 1) % n
-        end = arrivals[j]
-        segments.append((start, end))
+    # (start_pos, end_pos) inclusive, cyclic slices
+    segments = [((arrivals[j - 1] + 1) % n, arrivals[j]) for j in range(d)]
     seg_by_in = {seq[end]: j for j, (_, end) in enumerate(segments)}
     seg_by_out = {seq[start]: j for j, (start, _) in enumerate(segments)}
-    return segments, seg_by_in, seg_by_out
-
-
-def _cyclic_slice(seq: Sequence[int], start: int, end: int) -> list[int]:
-    if start <= end:
-        return list(seq[start : end + 1])
-    return list(seq[start:]) + list(seq[: end + 1])
-
-
-def _rewire_search(vertex: int, circuit: Circuit, forbidden_pairs: set) -> Circuit:
-    """First perfect matching (lexicographic by arc ids) avoiding
-    forbidden_pairs whose segment permutation is a single cycle."""
-    g = circuit.graph
-    seq = circuit.arc_seq
-    segments, seg_by_in, seg_by_out = _segments_at(vertex, circuit)
-    d = len(segments)
     in_ids = sorted(seg_by_in)  # in-arc ids ascending
     out_ids = sorted(seg_by_out)
     # forbidden segment transitions
@@ -304,9 +289,7 @@ def _rewire_search(vertex: int, circuit: Circuit, forbidden_pairs: set) -> Circu
         return False
 
     if not assign(0):
-        raise SearchExhausted(
-            f"no acceptable rewiring at vertex {g.vertex_labels[vertex]!r}"
-        )
+        return None
     # lay segments out along the new permutation, starting from segment 0
     order = [0]
     while len(order) < d:
@@ -314,8 +297,20 @@ def _rewire_search(vertex: int, circuit: Circuit, forbidden_pairs: set) -> Circu
     new_seq: list[int] = []
     for t in order:
         start, end = segments[t]
-        new_seq.extend(_cyclic_slice(seq, start, end))
-    return Circuit(g, tuple(new_seq))
+        if start > end:
+            new_seq += seq[start:]
+            start = 0
+        new_seq += seq[start : end + 1]
+    return new_seq
+
+
+def _successors(circuit: Circuit) -> dict[int, int]:
+    """Arc -> next arc along the circuit: its wiring at every vertex."""
+    seq = circuit.arc_seq
+    succ = dict(zip(seq, seq[1:] + seq[:1]))
+    if len(succ) != len(seq):
+        raise ParameterOutOfRange("forbidden circuit repeats an arc")
+    return succ
 
 
 def rewire(vertex: int, circuit: Circuit) -> Circuit:
@@ -324,35 +319,14 @@ def rewire(vertex: int, circuit: Circuit) -> Circuit:
     Requires degree >= 3 at the vertex (counting a loop once); degree 2 is
     rejected without searching.
     """
-    g = circuit.graph
-    deg = g.in_degree(vertex)
-    if deg != g.out_degree(vertex):
-        raise DegreeMismatch(g.vertex_labels[vertex], deg, g.out_degree(vertex))
-    if deg <= 2:
-        raise InsufficientDegree(
-            f"rewiring needs degree >= 3, vertex {g.vertex_labels[vertex]!r} has {deg}"
-        )
-    current = wiring_of(vertex, circuit)
-    return _rewire_search(vertex, circuit, set(current.pairs))
+    return rewire_vertex_set((vertex,), circuit)
 
 
 def rewire_given(vertex: int, circuit: Circuit, forbidden: Sequence[Circuit]) -> Circuit:
     """Rewire so the new wiring avoids every pair used by the forbidden
     circuits at this vertex.  Supports t <= floor(deg/2) - 1 forbidden
     circuits; the forbidden list is expected to be pairwise compatible."""
-    g = circuit.graph
-    deg = g.in_degree(vertex)
-    if deg != g.out_degree(vertex):
-        raise DegreeMismatch(g.vertex_labels[vertex], deg, g.out_degree(vertex))
-    t = len(forbidden)
-    if t > deg // 2 - 1:
-        raise TooManyForbidden(
-            f"{t} forbidden circuits at degree {deg}; at most {deg // 2 - 1} supported"
-        )
-    banned: set = set()
-    for c in forbidden:
-        banned |= wiring_of(vertex, c).pairs
-    return _rewire_search(vertex, circuit, banned)
+    return rewire_vertex_set((vertex,), circuit, forbidden)
 
 
 def rewire_vertex_set(
@@ -360,14 +334,49 @@ def rewire_vertex_set(
     circuit: Circuit,
     forbidden: Optional[Sequence[Circuit]] = None,
 ) -> Circuit:
-    """Fold rewire (or rewire_given) over the vertices in the given order."""
-    c = circuit
+    """Fold rewire (or, given `forbidden`, rewire_given) over the vertices in
+    the given order.
+
+    The circuit must traverse each in-arc of every listed vertex exactly
+    once, and so must each forbidden circuit; otherwise ParameterOutOfRange.
+    """
+    g = circuit.graph
+    seq = list(circuit.arc_seq)
+    n = len(seq)
+    if len(set(seq)) != n:
+        raise ParameterOutOfRange("circuit repeats an arc")
+    successors = None if forbidden is None else [_successors(c) for c in forbidden]
     for v in vertices:
-        if forbidden is None:
-            c = rewire(v, c)
+        ins = g.in_arcs[v]
+        deg = len(ins)
+        label = g.vertex_labels[v]
+        if deg != g.out_degree(v):
+            raise DegreeMismatch(label, deg, g.out_degree(v))
+        if successors is None:
+            if deg <= 2:
+                raise InsufficientDegree(f"rewiring needs degree >= 3, vertex {label!r} has {deg}")
+        elif len(successors) > deg // 2 - 1:
+            raise TooManyForbidden(
+                f"{len(successors)} forbidden circuits at degree {deg}; "
+                f"at most {deg // 2 - 1} supported"
+            )
+        try:
+            arrivals = sorted(map(seq.index, ins))
+        except ValueError:
+            raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}") from None
+        if successors is None:
+            banned = {(seq[p], seq[(p + 1) % n]) for p in arrivals}
         else:
-            c = rewire_given(v, c, forbidden)
-    return c
+            try:
+                banned = {(a, s[a]) for s in successors for a in ins}
+            except KeyError:
+                raise ParameterOutOfRange(
+                    f"a forbidden circuit misses an in-arc of vertex {label!r}"
+                ) from None
+        seq = _rewire_search(seq, arrivals, banned)
+        if seq is None:
+            raise SearchExhausted(f"no acceptable rewiring at vertex {label!r}")
+    return Circuit(g, tuple(seq))
 
 
 # ----------------------------------------------------------------------

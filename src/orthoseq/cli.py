@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"error: internal certification failure: {exc}", file=sys.stderr)
         return 3
-    except OrthoseqError as exc:
+    except (OrthoseqError, OSError) as exc:  # bad input or unusable file: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -208,6 +208,72 @@ def test_rewire_vertex_set_builds_a_compatible_circuit():
     assert is_l_orthogonal([word_of(base), word_of(other)], k=2, ell=1).holds
 
 
+# rewiring walks one arc list through a vertex block and builds the Circuit
+# once at the end; these pin the checks that remain on that path
+
+
+def rewiring_calls(circuit: Circuit, forbidden: list):
+    """Every public entry into rewiring at vertex 0, given `forbidden`."""
+    return [
+        lambda: rewire(0, circuit),
+        lambda: rewire_given(0, circuit, forbidden),
+        lambda: rewire_vertex_set([0], circuit),
+        lambda: rewire_vertex_set([0], circuit, forbidden),
+    ]
+
+
+def test_rewiring_rejects_a_circuit_that_misses_an_in_arc():
+    g = build_de_bruijn_graph(4, 2)
+    base = find_eulerian_circuit(g)
+    short = word_to_circuit((0, 1), g)  # a closed walk through one in-arc of vertex 0
+    for call in rewiring_calls(short, [base]):
+        with pytest.raises(ParameterOutOfRange, match="misses an in-arc"):
+            call()
+
+
+def test_rewiring_rejects_a_forbidden_circuit_that_misses_an_in_arc():
+    g = build_de_bruijn_graph(4, 2)
+    base = find_eulerian_circuit(g)
+    short = word_to_circuit((0, 1), g)
+    for v in (0, 2):  # visited once by `short`, and never
+        for call in (lambda: rewire_given(v, base, [short]),
+                     lambda: rewire_vertex_set(range(v, 4), base, [short])):
+            with pytest.raises(ParameterOutOfRange, match="forbidden circuit misses"):
+                call()
+
+
+def test_rewiring_rejects_a_walk_that_repeats_an_arc():
+    g = build_de_bruijn_graph(4, 2)
+    base = find_eulerian_circuit(g)
+    twice = Circuit(g, base.arc_seq * 2)  # a valid closed walk, every arc twice
+    for call in rewiring_calls(twice, [base]):
+        with pytest.raises(ParameterOutOfRange, match="circuit repeats an arc"):
+            call()
+    with pytest.raises(ParameterOutOfRange, match="forbidden circuit repeats an arc"):
+        rewire_given(0, base, [twice])
+
+
+def test_a_bad_splice_is_caught_when_the_fold_returns(monkeypatch):
+    import orthoseq.circuits as circuits
+
+    search = circuits._rewire_search
+    calls = []
+
+    def swap_first_two(seq, arrivals, forbidden_pairs):
+        out = search(seq, arrivals, forbidden_pairs)
+        if not calls:  # corrupt the first vertex's splice only
+            out[0], out[1] = out[1], out[0]
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(circuits, "_rewire_search", swap_first_two)
+    g = build_de_bruijn_graph(4, 2)
+    base = find_eulerian_circuit(g)
+    with pytest.raises(ParameterOutOfRange, match="not a valid transition"):
+        rewire_vertex_set(range(g.num_vertices), base, [base])
+    assert len(calls) == g.num_vertices  # the fold ran on; the exit check caught it
+
+
 # ----------------------------------------------------------------------
 # splitting and merging
 

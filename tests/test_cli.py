@@ -77,6 +77,17 @@ def test_usage_errors_are_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_unwritable_or_missing_file_is_two(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    code = main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2", "-o", missing])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+    code = main(["verify", "--property", "de-bruijn", "--sigma", "2", "--words-file", missing])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_certification_failure_is_three(capsys, monkeypatch):
     # force the internal certificate to report a failure
     def doomed(word, sigma, k):
