@@ -158,7 +158,10 @@ def _alphabet_from_args(args, required: bool = True) -> Optional[Alphabet]:
 
 def _emit(text: str, args) -> None:
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:  # an unusable output path is a usage error
+            raise ParameterOutOfRange(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -166,7 +169,11 @@ def _emit(text: str, args) -> None:
 def _read_words(args, alphabet: Alphabet) -> list[tuple[int, ...]]:
     words = [alphabet.parse(w) for w in args.word]
     if args.words_file:
-        for line in Path(args.words_file).read_text().splitlines():
+        try:
+            text = Path(args.words_file).read_text()
+        except OSError as exc:
+            raise ParameterOutOfRange(str(exc)) from None
+        for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 words.append(alphabet.parse(line))
@@ -365,7 +372,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"error: internal certification failure: {exc}", file=sys.stderr)
         return 3
-    except (OrthoseqError, OSError) as exc:  # bad input or unusable file: a usage error
+    except OrthoseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,6 +88,17 @@ def test_unwritable_or_missing_file_is_two(capsys, tmp_path):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_closed_stdout_is_not_a_usage_error(monkeypatch):
+    # e.g. `orthoseq enumerate ... | head`: only the -o and --words-file paths map to 2
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2"])
+
+
 def test_certification_failure_is_three(capsys, monkeypatch):
     # force the internal certificate to report a failure
     def doomed(word, sigma, k):
