@@ -16,7 +16,6 @@ from .alphabet import (
     default_alphabet,
     dna_alphabet,
     expand_language,
-    weight_representation,
     word_weight,
 )
 from .circuits import (
@@ -32,7 +31,6 @@ from .circuits import (
     rewire,
     rewire_given,
     rewire_vertex_set,
-    split_vertex,
     split_vertices,
     transition_system_of,
     wiring_of,
@@ -75,15 +73,11 @@ from .errors import (
 )
 from .graphs import (
     Arc,
-    DigitIsomorphism,
     DirectedMultigraph,
     build_de_bruijn_graph,
     build_kautz_graph,
     build_language_graph,
     build_restricted_graph,
-    de_bruijn_digit_isomorphism,
-    digit_join,
-    digit_split,
     tensor_product,
 )
 from .verify import (

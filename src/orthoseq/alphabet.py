@@ -8,7 +8,7 @@ optional "weighted" subset W used by the fixed-weight families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterOutOfRange
@@ -118,12 +118,6 @@ def as_entries(word) -> tuple[int, ...]:
     if isinstance(word, Word):
         return word.entries
     return tuple(word)
-
-
-def weight_representation(word, alphabet: Alphabet) -> tuple[int, ...]:
-    """Characteristic 0/1 vector of membership in the weighted subset W."""
-    w = alphabet.weighted
-    return tuple(1 if s in w else 0 for s in as_entries(word))
 
 
 def word_weight(entries: Sequence[int], weighted: frozenset[int]) -> int:

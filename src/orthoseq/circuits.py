@@ -9,7 +9,7 @@ others, subject to the result still being a single closed walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .alphabet import Word, as_entries
@@ -60,9 +60,6 @@ class Circuit:
         """Tail vertex of each arc, in walk order."""
         return tuple(self.graph.arcs[a].tail for a in self.arc_seq)
 
-    def to_json_dict(self) -> dict:
-        return {"graph": self.graph.signature, "arcs": list(self.arc_seq)}
-
 
 def circuit_to_word(circuit: Circuit) -> Word:
     """Concatenate arc symbols along the walk into a circular word."""
@@ -108,12 +105,6 @@ class Wiring:
 
     vertex: int
     pairs: frozenset  # of (in_arc_id, out_arc_id)
-
-    def out_for(self, in_arc: int) -> int:
-        for i, o in self.pairs:
-            if i == in_arc:
-                return o
-        raise KeyError(in_arc)
 
 
 def wiring_of(vertex: int, circuit: Circuit) -> Wiring:
@@ -383,20 +374,14 @@ def rewire_vertex_set(
 # vertex splitting
 
 
-def split_vertex(
-    graph: DirectedMultigraph, vertex: int, wiring: Wiring
+def split_vertices(
+    graph: DirectedMultigraph, wirings: dict[int, Wiring]
 ) -> DirectedMultigraph:
-    """Replace `vertex` by one degree-1 vertex per wiring pair.
+    """Replace each wired vertex by one degree-1 vertex per wiring pair.
 
     Arc ids are preserved, so any circuit of the split graph is a valid arc
     sequence of the original; that is what merge_circuit relies on.
     """
-    return split_vertices(graph, {vertex: wiring})
-
-
-def split_vertices(
-    graph: DirectedMultigraph, wirings: dict[int, Wiring]
-) -> DirectedMultigraph:
     for v, w in wirings.items():
         ins = {i for i, _ in w.pairs}
         outs = {o for _, o in w.pairs}

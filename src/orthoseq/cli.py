@@ -28,28 +28,10 @@ from .alphabet import (
     dna_alphabet,
     expand_language,
 )
-from .constructions import ConstructionResult, OrthogonalCollectionRequest, construct
+from .constructions import FAMILIES, OrthogonalCollectionRequest, construct
 from .errors import CertificationError, OrthoseqError, ParameterOutOfRange
 from .graphs import build_restricted_graph
 from . import verify as verify_mod
-
-FAMILIES = (
-    "de-bruijn",
-    "kautz",
-    "balanced-de-bruijn",
-    "balanced-kautz",
-    "fixed-weight-de-bruijn",
-    "fixed-weight-kautz",
-)
-
-# short spellings accepted on the command line
-FAMILY_ALIASES = {
-    "ortho-db": "de-bruijn",
-    "ortho-kautz": "kautz",
-    "balanced-db": "balanced-de-bruijn",
-    "fw-db": "fixed-weight-de-bruijn",
-    "fw-kautz": "fixed-weight-kautz",
-}
 
 PROPERTIES = (
     "de-bruijn",
@@ -80,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--output", "-o", help="write to this file instead of stdout")
 
     gen = sub.add_parser("generate", parents=[alpha, out], help="construct a collection")
-    gen.add_argument("--family", choices=FAMILIES + tuple(FAMILY_ALIASES), required=True)
+    names = [f.name for f in FAMILIES] + [alias for f in FAMILIES for alias in f.aliases]
+    gen.add_argument("--family", choices=names, required=True)
     gen.add_argument("-k", type=int, default=2, help="window order k (default 2)")
     gen.add_argument("--ell", type=int, default=1, help="orthogonality level (default 1)")
     gen.add_argument("-c", type=int, help="number of sequences (balanced families)")
@@ -182,44 +165,28 @@ def _read_words(args, alphabet: Alphabet) -> list[tuple[int, ...]]:
     return words
 
 
-def _render_result(result: ConstructionResult, args) -> str:
-    alphabet = result.alphabet
-    rendered = [alphabet.render(w) for w in result.words]
-    if args.format == "text":
-        return "".join(w + "\n" for w in rendered)
-    if args.format == "csv":
-        lines = ["index,length,word"]
-        lines += [f"{i},{len(w)},{r}" for i, (w, r) in enumerate(zip(result.words, rendered))]
-        return "\n".join(lines) + "\n"
-    if args.format == "fasta":
+def _render(words: list[Word], alphabet: Alphabet, fmt: str, fasta_header, json_doc) -> str:
+    """Circular words as text, csv, fasta or json.
+
+    fasta_header is the (record name, description) pair of every fasta record;
+    json_doc(rendered_words) builds the JSON document and runs only for json.
+    """
+    if fmt == "fasta":
         # circular sequences are linearized at their canonical rotation
-        meta = " ".join(f"{k}={v}" for k, v in sorted(result.parameters.items()))
-        caveat = "circular; linearized at canonical rotation"
+        name, description = fasta_header
         return "".join(
-            ">{}_{} {} [{}]\n{}\n".format(
-                result.family,
-                i,
-                meta,
-                caveat,
-                alphabet.render(Word(tuple(w), circular=True).canonical()),
-            )
-            for i, w in enumerate(result.words)
+            f">{name}_{i} {description} [circular; linearized at canonical rotation]\n"
+            f"{alphabet.render(w.canonical())}\n"
+            for i, w in enumerate(words)
         )
-    doc = {
-        "family": result.family,
-        "parameters": {k: v for k, v in sorted(result.parameters.items())},
-        "sigma": result.sigma,
-        "k": result.k,
-        "alphabet": list(alphabet.tokens),
-        "weighted": sorted(alphabet.weighted),
-        "count": len(result.words),
-        "lengths": [len(w) for w in result.words],
-        "words": rendered,
-        "info": result.info,
-        "certificate": [r.to_json_dict(alphabet) for r in result.certificate],
-        "provenance": result.provenance,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rendered = [alphabet.render(w) for w in words]
+    if fmt == "json":
+        return json.dumps(json_doc(rendered), indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = ["index,length,word"]
+        lines += [f"{i},{len(w)},{r}" for i, (w, r) in enumerate(zip(words, rendered))]
+        return "\n".join(lines) + "\n"
+    return "".join(r + "\n" for r in rendered)
 
 
 # ----------------------------------------------------------------------
@@ -227,15 +194,16 @@ def _render_result(result: ConstructionResult, args) -> str:
 
 
 def cmd_generate(args) -> int:
-    args.family = FAMILY_ALIASES.get(args.family, args.family)
-    fixed = args.family in ("fixed-weight-de-bruijn", "fixed-weight-kautz")
-    alphabet = _alphabet_from_args(args, required=fixed or args.family in ("de-bruijn", "kautz"))
-    if fixed and (alphabet is None or not alphabet.weighted or not alphabet.unweighted):
+    family = next(f for f in FAMILIES if args.family in (f.name, *f.aliases))
+    needs = {field_name for field_name, _ in family.needs}
+    weighted = "alphabet" in needs
+    alphabet = _alphabet_from_args(args, required=weighted or "sigma" in needs)
+    if weighted and (alphabet is None or not alphabet.weighted or not alphabet.unweighted):
         raise ParameterOutOfRange(
             "fixed-weight families need an alphabet with a weighted class (--dna or --weighted)"
         )
     request = OrthogonalCollectionRequest(
-        family=args.family,
+        family=family.name,
         sigma=alphabet.sigma if alphabet else None,
         k=args.k,
         ell=args.ell,
@@ -246,7 +214,29 @@ def cmd_generate(args) -> int:
         alphabet=alphabet,
     )
     result = construct(request)
-    _emit(_render_result(result, args), args)
+    alphabet = result.alphabet
+    meta = " ".join(f"{k}={v}" for k, v in sorted(result.parameters.items()))
+    text = _render(
+        result.words,
+        alphabet,
+        args.format,
+        (result.family, meta),
+        lambda rendered: {
+            "family": result.family,
+            "parameters": result.parameters,
+            "sigma": result.sigma,
+            "k": result.k,
+            "alphabet": list(alphabet.tokens),
+            "weighted": sorted(alphabet.weighted),
+            "count": len(result.words),
+            "lengths": [len(w) for w in result.words],
+            "words": rendered,
+            "info": result.info,
+            "certificate": [r.to_json_dict(alphabet) for r in result.certificate],
+            "provenance": result.provenance,
+        },
+    )
+    _emit(text, args)
     return 0
 
 
@@ -319,30 +309,19 @@ def cmd_enumerate(args) -> int:
     alphabet = _alphabet_from_args(args)
     language = _language_from_args(args, alphabet)
     found = verify_mod.enumerate_db_words(language, max_results=args.max_results)
-    rendered = [alphabet.render(w) for w in found]
-    if args.format == "json":
-        doc = {
+    text = _render(
+        found,
+        alphabet,
+        args.format,
+        ("covering", f"k={args.k}"),
+        lambda rendered: {
             "k": args.k,
             "language_size": len(language),
             "count": len(found),
             "words": rendered,
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
-    elif args.format == "csv":
-        lines = ["index,length,word"]
-        lines += [f"{i},{len(w)},{r}" for i, (w, r) in enumerate(zip(found, rendered))]
-        _emit("\n".join(lines) + "\n", args)
-    elif args.format == "fasta":
-        header = f"k={args.k} [circular; linearized at canonical rotation]"
-        _emit(
-            "".join(
-                f">covering_{i} {header}\n{alphabet.render(w.canonical())}\n"
-                for i, w in enumerate(found)
-            ),
-            args,
-        )
-    else:
-        _emit("".join(r + "\n" for r in rendered), args)
+        },
+    )
+    _emit(text, args)
     return 0
 
 

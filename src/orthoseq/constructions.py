@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .alphabet import Alphabet, LanguageSpec, Word, default_alphabet, expand_language
 from .circuits import (
@@ -41,6 +41,7 @@ from .graphs import (
     build_kautz_graph,
     build_language_graph,
     build_restricted_graph,
+    mixed_radix_join,
     tensor_product,
 )
 from . import verify
@@ -50,8 +51,7 @@ from . import verify
 class OrthogonalCollectionRequest:
     """Parameters of one collection request, as the CLI hands them over."""
 
-    family: str  # de-bruijn | kautz | balanced-de-bruijn | balanced-kautz |
-    #              fixed-weight-de-bruijn | fixed-weight-kautz
+    family: str  # the name of a row of FAMILIES
     sigma: Optional[int] = None
     k: int = 2
     ell: int = 1
@@ -79,11 +79,28 @@ class ConstructionResult:
     info: dict = field(default_factory=dict)
 
 
-def _certified(reports: Sequence[verify.VerificationReport]) -> list[verify.VerificationReport]:
+def _certified(
+    family: str, parameters: dict, alphabet: Alphabet, k: int, words: list[Word],
+    circuits: list[Circuit], reports: Sequence[verify.VerificationReport],
+    provenance: list[str], **info,
+) -> ConstructionResult:
+    """The only place a ConstructionResult is built: every report must hold."""
     for r in reports:
         if not r.holds:
             raise CertificationError(f"{r.property} failed, witness {r.witness!r}")
-    return list(reports)
+    info["count"] = len(words)
+    return ConstructionResult(
+        family=family,
+        parameters=parameters,
+        alphabet=alphabet,
+        sigma=alphabet.sigma,
+        k=k,
+        words=words,
+        circuits=circuits,
+        certificate=list(reports),
+        provenance=provenance,
+        info=info,
+    )
 
 
 def _fit_alphabet(alphabet: Optional[Alphabet], sigma: int) -> Alphabet:
@@ -199,21 +216,11 @@ def construct_l_orthogonal_de_bruijn(
     big_k = sigma // 2 if sigma >= 4 else 2
     circuits, prov = _rewiring_family(graph, ell, big_k, conditioned=sigma >= 4)
     words = [circuit_to_word(c) for c in circuits]
-    certificate = _certified(
+    return _certified(
+        "de-bruijn", {"sigma": sigma, "k": k, "ell": ell}, alphabet, k, words, circuits,
         [verify.is_de_bruijn(w, sigma, k) for w in words]
-        + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)]
-    )
-    return ConstructionResult(
-        family="de-bruijn",
-        parameters={"sigma": sigma, "k": k, "ell": ell},
-        alphabet=alphabet,
-        sigma=sigma,
-        k=k,
-        words=words,
-        circuits=circuits,
-        certificate=certificate,
-        provenance=prov,
-        info={"count": len(words), "K": big_k, "upper_bound": ell * (sigma - 1)},
+        + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)],
+        prov, K=big_k, upper_bound=ell * (sigma - 1),
     )
 
 
@@ -232,21 +239,11 @@ def construct_l_orthogonal_kautz(
     big_k = max(2, (sigma - 1) // 2)
     circuits, prov = _rewiring_family(graph, ell, big_k, conditioned=sigma >= 5)
     words = [circuit_to_word(c) for c in circuits]
-    certificate = _certified(
+    return _certified(
+        "kautz", {"sigma": sigma, "k": k, "ell": ell}, alphabet, k, words, circuits,
         [verify.is_kautz_word(w, sigma, k) for w in words]
-        + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)]
-    )
-    return ConstructionResult(
-        family="kautz",
-        parameters={"sigma": sigma, "k": k, "ell": ell},
-        alphabet=alphabet,
-        sigma=sigma,
-        k=k,
-        words=words,
-        circuits=circuits,
-        certificate=certificate,
-        provenance=prov,
-        info={"count": len(words), "K": big_k},
+        + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)],
+        prov, K=big_k,
     )
 
 
@@ -477,19 +474,6 @@ def tensor_compose_b_circuits(
     return Circuit(product, seq)
 
 
-def _mixed_radix_join(words: Sequence[tuple], sigmas: Sequence[int]) -> tuple[int, ...]:
-    """Positional join of synchronized circular streams (first factor is the
-    most significant digit)."""
-    total = math.prod(len(w) for w in words)
-    out = []
-    for t in range(total):
-        val = 0
-        for w, s in zip(words, sigmas):
-            val = val * s + w[t % len(w)]
-        out.append(val)
-    return tuple(out)
-
-
 def construct_orthogonal_balanced_de_bruijn(
     c: int, b: int, k: int, alphabet: Optional[Alphabet] = None
 ) -> ConstructionResult:
@@ -534,33 +518,18 @@ def construct_orthogonal_balanced_de_bruijn(
         raise CertificationError("factor alphabets do not multiply out")
     streams = [[tuple(circuit_to_word(w)) for w in comp[1]] for comp in components]
     combo_words = [
-        Word(_mixed_radix_join(choice, sigmas), circular=True)
+        Word(mixed_radix_join(choice, sigmas), circular=True)
         for choice in itertools.product(*streams)
     ]
     lifted = build_de_bruijn_graph(sigma, k + 1)
     circuits = [word_to_circuit(w, lifted) for w in combo_words]
-    certificate = _certified(
+    return _certified(
+        "balanced-de-bruijn", {"c": c, "b": b, "k": k}, alphabet, k, combo_words, circuits,
         [verify.is_b_balanced(w, sigma, k, b) for w in combo_words]
         + [verify.is_self_orthogonal(w, k) for w in combo_words]
         + [verify.is_l_orthogonal(combo_words, k, 1), verify.are_arc_disjoint(circuits)]
-        + [verify.is_b_circuit(cc, lifted, b) for cc in circuits]
-    )
-    return ConstructionResult(
-        family="balanced-de-bruijn",
-        parameters={"c": c, "b": b, "k": k},
-        alphabet=alphabet,
-        sigma=sigma,
-        k=k,
-        words=combo_words,
-        circuits=circuits,
-        certificate=certificate,
-        provenance=prov,
-        info={
-            "sigma_used": sigma,
-            "lower_bound": cb,
-            "upper_bound": smallest_prime_power_geq(cb),
-            "count": len(combo_words),
-        },
+        + [verify.is_b_circuit(cc, lifted, b) for cc in circuits],
+        prov, sigma_used=sigma, lower_bound=cb, upper_bound=smallest_prime_power_geq(cb),
     )
 
 
@@ -587,12 +556,7 @@ def construct_orthogonal_balanced_kautz(
     sigma = 2 * c * b + 1
     alphabet = _fit_alphabet(alphabet, sigma)
     graph = build_kautz_graph(sigma, k)
-    big_k = c * b
-    if big_k == 1:
-        family = [find_eulerian_circuit(graph)]
-        prov = ["C[1,1]: Eulerian circuit"]
-    else:
-        family, prov = _rewiring_family(graph, 1, big_k, conditioned=True)
+    family, prov = _rewiring_family(graph, 1, c * b, conditioned=True)
     lifted = build_kautz_graph(sigma, k + 1)
     hams = [hamiltonian_from_eulerian(cc, lifted) for cc in family]
     walks = [
@@ -600,23 +564,12 @@ def construct_orthogonal_balanced_kautz(
     ]
     prov.append(f"lifted {c * b} compatible circuits, combined in {c} groups of {b}")
     words = [circuit_to_word(w) for w in walks]
-    certificate = _certified(
+    return _certified(
+        "balanced-kautz", {"c": c, "b": b, "k": k}, alphabet, k, words, walks,
         [verify.is_b_balanced_kautz(w, sigma, k, b) for w in words]
         + [verify.is_l_orthogonal(words, k, 1), verify.are_arc_disjoint(walks)]
-        + [verify.is_b_circuit(w, lifted, b) for w in walks]
-    )
-    return ConstructionResult(
-        family="balanced-kautz",
-        parameters={"c": c, "b": b, "k": k},
-        alphabet=alphabet,
-        sigma=sigma,
-        k=k,
-        words=words,
-        circuits=walks,
-        certificate=certificate,
-        provenance=prov,
-        info={"sigma_used": sigma, "lower_bound": c * b + 1, "upper_bound": sigma,
-              "count": len(words)},
+        + [verify.is_b_circuit(w, lifted, b) for w in walks],
+        prov, sigma_used=sigma, lower_bound=c * b + 1, upper_bound=sigma,
     )
 
 
@@ -682,21 +635,13 @@ def construct_fixed_weight_orthogonal_db(
     m = min(n_w, n_x)
     circuits, prov = _split_circuit_family(graph, m, alphabet.sigma)
     words = [circuit_to_word(c) for c in circuits]
-    certificate = _certified(
+    return _certified(
+        "fixed-weight-de-bruijn",
+        {"k": k, "w": w, "W": sorted(alphabet.weighted), "sigma": alphabet.sigma},
+        alphabet, k, words, circuits,
         [verify.is_fixed_weight_db(word, language) for word in words]
-        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)]
-    )
-    return ConstructionResult(
-        family="fixed-weight-de-bruijn",
-        parameters={"k": k, "w": w, "W": sorted(alphabet.weighted), "sigma": alphabet.sigma},
-        alphabet=alphabet,
-        sigma=alphabet.sigma,
-        k=k,
-        words=words,
-        circuits=circuits,
-        certificate=certificate,
-        provenance=prov,
-        info={"count": m, "language_size": len(language)},
+        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)],
+        prov, language_size=len(language),
     )
 
 
@@ -746,71 +691,71 @@ def construct_fixed_weight_kautz_orthogonal(
             m = 1  # no full-degree vertex to rewire at
     circuits, prov = _split_circuit_family(graph, m, delta)
     words = [circuit_to_word(c) for c in circuits]
-    certificate = _certified(
+    parameters = {
+        "k": k, "w_min": w_min, "w_max": w_max, "W": sorted(alphabet.weighted),
+        "sigma": alphabet.sigma,
+    }
+    return _certified(
+        "fixed-weight-kautz", parameters, alphabet, k, words, circuits,
         [verify.is_fixed_weight_db(word, language) for word in words]
-        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)]
-    )
-    return ConstructionResult(
-        family="fixed-weight-kautz",
-        parameters={
-            "k": k,
-            "w_min": w_min,
-            "w_max": w_max,
-            "W": sorted(alphabet.weighted),
-            "sigma": alphabet.sigma,
-        },
-        alphabet=alphabet,
-        sigma=alphabet.sigma,
-        k=k,
-        words=words,
-        circuits=circuits,
-        certificate=certificate,
-        provenance=prov,
-        info={"count": m, "language_size": len(language)},
+        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)],
+        prov, language_size=len(language),
     )
 
 
 # ----------------------------------------------------------------------
-# dispatcher
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """One collection family: its names, the request fields it needs (with
+    the label a missing one is reported under), and how it is built."""
+
+    name: str
+    aliases: tuple[str, ...]
+    needs: tuple[tuple[str, str], ...]
+    build: Callable[[OrthogonalCollectionRequest], ConstructionResult]
+
+
+# `build` looks the constructor up by its module-global name at call time, so
+# anything that replaces a module attribute (a tracer, a test) sees the call.
+FAMILIES = (
+    Family(
+        "de-bruijn", ("ortho-db",), (("sigma", "sigma"),),
+        lambda r: construct_l_orthogonal_de_bruijn(r.sigma, r.k, r.ell, r.alphabet),
+    ),
+    Family(
+        "kautz", ("ortho-kautz",), (("sigma", "sigma"),),
+        lambda r: construct_l_orthogonal_kautz(r.sigma, r.k, r.ell, r.alphabet),
+    ),
+    Family(
+        "balanced-de-bruijn", ("balanced-db",), (("c", "c"), ("b", "b")),
+        lambda r: construct_orthogonal_balanced_de_bruijn(r.c, r.b, r.k, r.alphabet),
+    ),
+    Family(
+        "balanced-kautz", (), (("c", "c"), ("b", "b")),
+        lambda r: construct_orthogonal_balanced_kautz(r.c, r.b, r.k, r.alphabet),
+    ),
+    Family(
+        "fixed-weight-de-bruijn", ("fw-db",),
+        (("alphabet", "alphabet with a weighted class"), ("weight", "weight")),
+        lambda r: construct_fixed_weight_orthogonal_db(r.alphabet, r.k, r.weight),
+    ),
+    Family(
+        "fixed-weight-kautz", ("fw-kautz",),
+        (("alphabet", "alphabet with a weighted class"), ("weight_band", "weight band")),
+        lambda r: construct_fixed_weight_kautz_orthogonal(r.alphabet, r.k, *r.weight_band),
+    ),
+)
 
 
 def construct(request: OrthogonalCollectionRequest) -> ConstructionResult:
-    fam = request.family
-    if fam == "de-bruijn":
-        _need(request.sigma, "sigma")
-        return construct_l_orthogonal_de_bruijn(
-            request.sigma, request.k, request.ell, request.alphabet
-        )
-    if fam == "kautz":
-        _need(request.sigma, "sigma")
-        return construct_l_orthogonal_kautz(
-            request.sigma, request.k, request.ell, request.alphabet
-        )
-    if fam == "balanced-de-bruijn":
-        _need(request.c, "c")
-        _need(request.b, "b")
-        return construct_orthogonal_balanced_de_bruijn(
-            request.c, request.b, request.k, request.alphabet
-        )
-    if fam == "balanced-kautz":
-        _need(request.c, "c")
-        _need(request.b, "b")
-        return construct_orthogonal_balanced_kautz(
-            request.c, request.b, request.k, request.alphabet
-        )
-    if fam == "fixed-weight-de-bruijn":
-        _need(request.alphabet, "alphabet with a weighted class")
-        _need(request.weight, "weight")
-        return construct_fixed_weight_orthogonal_db(request.alphabet, request.k, request.weight)
-    if fam == "fixed-weight-kautz":
-        _need(request.alphabet, "alphabet with a weighted class")
-        _need(request.weight_band, "weight band")
-        return construct_fixed_weight_kautz_orthogonal(
-            request.alphabet, request.k, *request.weight_band
-        )
-    raise ParameterOutOfRange(f"unknown family {fam!r}")
-
-
-def _need(value, name: str):
-    if value is None:
-        raise ParameterOutOfRange(f"missing parameter: {name}")
+    """Build the family a request names (canonical names only, not aliases)."""
+    family = next((f for f in FAMILIES if f.name == request.family), None)
+    if family is None:
+        raise ParameterOutOfRange(f"unknown family {request.family!r}")
+    for field_name, label in family.needs:
+        if getattr(request, field_name) is None:
+            raise ParameterOutOfRange(f"missing parameter: {label}")
+    return family.build(request)

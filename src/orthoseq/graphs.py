@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .alphabet import Alphabet, LanguageSpec, Word, as_entries, expand_language
+from .alphabet import Alphabet, LanguageSpec, as_entries, expand_language
 from .errors import ParameterOutOfRange
 
 
@@ -239,7 +240,7 @@ def build_language_graph(spec: LanguageSpec, alphabet: Alphabet) -> DirectedMult
 
 
 # ----------------------------------------------------------------------
-# tensor product and the digit isomorphism
+# tensor product and the digit map
 
 
 def tensor_product(g1: DirectedMultigraph, g2: DirectedMultigraph) -> DirectedMultigraph:
@@ -262,62 +263,21 @@ def tensor_product(g1: DirectedMultigraph, g2: DirectedMultigraph) -> DirectedMu
     return g
 
 
-def digit_split(entries: Sequence[int], sigma2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split each symbol s into (s div sigma2, s mod sigma2)."""
-    entries = tuple(entries)
-    return tuple(s // sigma2 for s in entries), tuple(s % sigma2 for s in entries)
+def mixed_radix_join(streams: Sequence[Sequence[int]], radices: Sequence[int]) -> tuple[int, ...]:
+    """Join synchronized circular digit streams into one stream over the
+    product alphabet; the first stream gives the most significant digit.
 
-
-def digit_join(high: Sequence[int], low: Sequence[int], sigma2: int) -> tuple[int, ...]:
-    if len(high) != len(low):
-        raise ParameterOutOfRange("digit streams must have equal length")
-    return tuple(q * sigma2 + r for q, r in zip(high, low))
-
-
-class DigitIsomorphism:
-    """Entrywise base-(sigma1,sigma2) digit bijection.
-
-    Maps vertices and arcs of the order-k graph over sigma1*sigma2 symbols onto
-    the tensor product of the order-k graphs over sigma1 and sigma2 symbols.
+    Position t reads entry t mod len(stream) of every stream, over the lcm of
+    the stream lengths: the product for coprime lengths (the index-synchronous
+    pairing of the balanced construction), and a plain zip for words of equal
+    length, where it is the digit map from the tensor product of the graphs
+    over radices[0], radices[1], ... onto the graph over their product.
     """
-
-    def __init__(self, sigma1: int, sigma2: int, k: int):
-        if sigma1 < 2 or sigma2 < 2:
-            raise ParameterOutOfRange("factor alphabets need at least 2 symbols")
-        if k < 1:
-            raise ParameterOutOfRange("need k >= 1")
-        self.sigma1, self.sigma2, self.k = sigma1, sigma2, k
-
-    def split_word(self, entries: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        for s in entries:
-            if not 0 <= s < self.sigma1 * self.sigma2:
-                raise ParameterOutOfRange(f"symbol {s} out of range")
-        return digit_split(entries, self.sigma2)
-
-    def join_word(self, high: Sequence[int], low: Sequence[int]) -> tuple[int, ...]:
-        return digit_join(high, low, self.sigma2)
-
-    def check(self) -> bool:
-        """Exhaustively confirm arcs map to arcs in both directions."""
-        big = build_de_bruijn_graph(self.sigma1 * self.sigma2, self.k)
-        prod = tensor_product(
-            build_de_bruijn_graph(self.sigma1, self.k),
-            build_de_bruijn_graph(self.sigma2, self.k),
-        )
-        g1, g2 = prod.factors
-        seen = set()
-        for a in big.arcs:
-            hi, lo = self.split_word(big.arc_word(a.id))
-            pid = prod.pair_to_arc[(g1.arc_id_of_word(hi), g2.arc_id_of_word(lo))]
-            if pid in seen:
-                return False
-            seen.add(pid)
-            pa = prod.arcs[pid]
-            tail_hi, tail_lo = prod.vertex_labels[pa.tail]
-            if self.join_word(tail_hi, tail_lo) != tuple(big.arc_word(a.id))[:-1]:
-                return False
-        return len(seen) == prod.num_arcs == big.num_arcs
-
-
-def de_bruijn_digit_isomorphism(sigma1: int, sigma2: int, k: int) -> DigitIsomorphism:
-    return DigitIsomorphism(sigma1, sigma2, k)
+    lengths = [len(s) for s in streams]
+    out = []
+    for t in range(math.lcm(*lengths)):
+        val = 0
+        for s, n, r in zip(streams, lengths, radices):
+            val = val * r + s[t % n]
+        out.append(val)
+    return tuple(out)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .alphabet import Word, as_entries, word_weight
+from .alphabet import Word, as_entries
 from .errors import GuardExceeded, ParameterOutOfRange
 
 
@@ -268,36 +268,40 @@ def is_b_circuit(walk, graph, b: int) -> VerificationReport:
 
 def enumerate_db_words(language: Iterable, max_results: int = 10_000) -> list[Word]:
     """All circular words containing each language word exactly once, up to
-    rotation, in lexicographic order.  Backtracking over word successions."""
+    rotation, in lexicographic order.  Backtracking over word successions,
+    on an explicit stack so the depth is not bounded by the recursion limit."""
     words = sorted(set(as_entries(w) for w in language))
     _require(bool(words), "language is empty")
     k = len(words[0])
     _require(all(len(w) == k for w in words), "language mixes word lengths")
+    # words are handled by their index in `words`; successions start at word 0
     by_prefix: dict = defaultdict(list)
-    for w in words:
-        by_prefix[w[:-1]].append(w)
-    first = words[0]
-    used = {w: False for w in words}
-    used[first] = True
-    seq = [first]
+    for i, w in enumerate(words):
+        by_prefix[w[:-1]].append(i)
+    successors = [by_prefix.get(w[1:], []) for w in words]
+    used = [False] * len(words)
+    path: list[int] = []
+    # stack[d] iterates the candidates for path[d]: the successors of path[d-1]
+    stack = [iter([0])]
     results: list[Word] = []
-
-    def dfs():
-        if len(seq) == len(words):
-            if seq[-1][1:] == first[:-1]:
+    while stack:
+        for v in stack[-1]:
+            if not used[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
+            continue
+        if len(path) + 1 == len(words):
+            if words[v][1:] == words[0][:-1]:
                 if len(results) >= max_results:
                     raise GuardExceeded(f"more than {max_results} sequences")
-                results.append(Word(tuple(w[0] for w in seq), circular=True))
-            return
-        for w in by_prefix.get(seq[-1][1:], ()):
-            if not used[w]:
-                used[w] = True
-                seq.append(w)
-                dfs()
-                seq.pop()
-                used[w] = False
-
-    dfs()
+                results.append(Word(tuple(words[i][0] for i in [*path, v]), circular=True))
+            continue
+        used[v] = True
+        path.append(v)
+        stack.append(iter(successors[v]))
     canon = sorted({w.canonical().entries for w in results})
     return [Word(e, circular=True) for e in canon]
 

@@ -131,7 +131,6 @@ def test_wiring_pairs_of_known_circuit():
     assert wiring.pairs == frozenset(
         {(arc("10"), arc("01")), (arc("20"), arc("00")), (arc("00"), arc("02"))}
     )
-    assert wiring.out_for(arc("20")) == arc("00")
 
 
 def test_transition_system_round_trip():

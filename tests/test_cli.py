@@ -227,6 +227,13 @@ def test_enumerate_csv_and_guard(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("k", ["10", "11"])
+def test_enumerate_deep_language_stops_at_the_guard(capsys, k):
+    # a succession of 2^k words is deeper than Python's default recursion limit
+    assert main(["enumerate", "--sigma", "2", "-k", k, "--max-results", "1"]) == 2
+    assert capsys.readouterr().err == "error: more than 1 sequences\n"
+
+
 def test_export_dot(capsys):
     code, out = run(capsys, "export", "--sigma", "3", "-k", "2")
     assert code == 0

@@ -9,11 +9,17 @@ sequence) are pinned byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from orthoseq.alphabet import Word, default_alphabet, dna_alphabet
 from orthoseq.circuits import circuit_to_word, find_eulerian_circuit, word_to_circuit
 from orthoseq.constructions import (
+    FAMILIES,
     OrthogonalCollectionRequest,
     build_b_circuit,
     combine_closed_walks,
@@ -486,3 +492,44 @@ def test_construct_rejects_unknown_family_and_missing_parameters():
         construct(OrthogonalCollectionRequest(family="balanced-de-bruijn", c=2))
     with pytest.raises(ParameterOutOfRange):
         construct(OrthogonalCollectionRequest(family="fixed-weight-de-bruijn", alphabet=DNA, k=3))
+
+
+# the label each family's missing request fields are reported under
+MISSING_LABELS = {
+    "de-bruijn": {"sigma": "sigma"},
+    "kautz": {"sigma": "sigma"},
+    "balanced-de-bruijn": {"c": "c", "b": "b"},
+    "balanced-kautz": {"c": "c", "b": "b"},
+    "fixed-weight-de-bruijn": {"alphabet": "alphabet with a weighted class", "weight": "weight"},
+    "fixed-weight-kautz": {
+        "alphabet": "alphabet with a weighted class",
+        "weight_band": "weight band",
+    },
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_family_table_row(family):
+    assert dict(family.needs) == MISSING_LABELS[family.name]
+    full = OrthogonalCollectionRequest(
+        family=family.name, sigma=3, c=2, b=2, weight=2, weight_band=(1, 2), alphabet=DNA
+    )
+    for field_name, label in family.needs:
+        request = dataclasses.replace(full, **{field_name: None})
+        with pytest.raises(ParameterOutOfRange, match=f"^missing parameter: {label}$"):
+            construct(request)
+    # construct takes canonical names only; aliases are a command-line spelling
+    for name in family.aliases + ("mystery",):
+        with pytest.raises(ParameterOutOfRange, match="^unknown family"):
+            construct(dataclasses.replace(full, family=name))
+
+
+def test_benchmark_tracer_finds_every_wrapped_function():
+    # the tracer replaces these module attributes by name and fails on a missing one
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, home, functions in tracing.WRAPPED:
+        module = importlib.import_module(home)
+        assert [f for f in functions if not callable(getattr(module, f, None))] == []

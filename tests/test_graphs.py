@@ -13,12 +13,10 @@ import pytest
 from orthoseq.alphabet import LanguageSpec, dna_alphabet, expand_language
 from orthoseq.errors import ParameterOutOfRange
 from orthoseq.graphs import (
-    DigitIsomorphism,
     build_de_bruijn_graph,
     build_kautz_graph,
     build_restricted_graph,
-    digit_join,
-    digit_split,
+    mixed_radix_join,
     tensor_product,
 )
 
@@ -116,14 +114,14 @@ def test_restricted_graph_band_two_three():
 
 
 def test_split_separates_in_out_pairs():
-    from orthoseq.circuits import split_vertex
+    from orthoseq.circuits import split_vertices
     from orthoseq.constructions import _shift_wiring
 
     language = expand_language(LanguageSpec("full", 4, min_weight=2, max_weight=3), DNA)
     g = build_restricted_graph(language)
     caa = vertex(g, "CAA")
     assert g.in_degree(caa) == 2
-    split = split_vertex(g, caa, _shift_wiring(g, caa, 0))
+    split = split_vertices(g, {caa: _shift_wiring(g, caa, 0)})
     # the shift-0 wiring routes CCAA -> CAAC and GCAA -> CAAG
     def arc(text: str) -> int:
         return g.arc_id_of_word(DNA.parse(text))
@@ -138,7 +136,7 @@ def test_split_separates_in_out_pairs():
 
 
 # ----------------------------------------------------------------------
-# tensor products and the digit isomorphism
+# tensor products and the digit map
 
 
 def test_tensor_product_counts():
@@ -170,15 +168,37 @@ def test_tensor_product_endpoints_are_pairs():
 
 def test_digit_split_join_round_trip():
     entries = (11, 3, 7, 0, 10)
-    hi, lo = digit_split(entries, 3)
-    assert digit_join(hi, lo, 3) == entries
-    assert hi == tuple(e // 3 for e in entries)
-    assert lo == tuple(e % 3 for e in entries)
+    hi = tuple(e // 3 for e in entries)
+    lo = tuple(e % 3 for e in entries)
+    assert mixed_radix_join([hi, lo], [4, 3]) == entries
+
+
+def test_mixed_radix_join_runs_over_the_lcm_of_the_lengths():
+    # coprime lengths pair every position of one stream with every one of the other
+    assert mixed_radix_join([(0, 1), (0, 1, 2)], [2, 3]) == (0, 4, 2, 3, 1, 5)
+    # equal lengths are a plain zip
+    assert mixed_radix_join([(1, 0, 1), (2, 2, 0)], [2, 3]) == (5, 2, 3)
 
 
 @pytest.mark.parametrize("sigma1,sigma2,k", [(2, 2, 2), (2, 3, 2), (4, 3, 3)])
 def test_digit_isomorphism_is_exhaustively_checked(sigma1, sigma2, k):
-    assert DigitIsomorphism(sigma1, sigma2, k).check()
+    """Entrywise joining maps the arcs and vertices of the tensor product of
+    the order-k graphs over sigma1 and sigma2 symbols one to one onto those
+    of the order-k graph over sigma1*sigma2 symbols."""
+    big = build_de_bruijn_graph(sigma1 * sigma2, k)
+    g1, g2 = build_de_bruijn_graph(sigma1, k), build_de_bruijn_graph(sigma2, k)
+    prod = tensor_product(g1, g2)
+    radices = (sigma1, sigma2)
+    image = set()
+    for (a1, a2), pid in prod.pair_to_arc.items():
+        joined = mixed_radix_join([g1.arc_word(a1), g2.arc_word(a2)], radices)
+        big_arc = big.arcs[big.arc_id_of_word(joined)]
+        image.add(big_arc.id)
+        pa = prod.arcs[pid]
+        for end, big_end in ((pa.tail, big_arc.tail), (pa.head, big_arc.head)):
+            tail_hi, tail_lo = prod.vertex_labels[end]
+            assert mixed_radix_join([tail_hi, tail_lo], radices) == big.vertex_labels[big_end]
+    assert len(image) == prod.num_arcs == big.num_arcs
 
 
 # ----------------------------------------------------------------------
