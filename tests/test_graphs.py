@@ -196,8 +196,8 @@ def test_digit_isomorphism_is_exhaustively_checked(sigma1, sigma2, k):
         image.add(big_arc.id)
         pa = prod.arcs[pid]
         for end, big_end in ((pa.tail, big_arc.tail), (pa.head, big_arc.head)):
-            tail_hi, tail_lo = prod.vertex_labels[end]
-            assert mixed_radix_join([tail_hi, tail_lo], radices) == big.vertex_labels[big_end]
+            hi, lo = prod.vertex_labels[end]
+            assert mixed_radix_join([hi, lo], radices) == big.vertex_labels[big_end]
     assert len(image) == prod.num_arcs == big.num_arcs
 
 
