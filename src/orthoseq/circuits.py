@@ -225,74 +225,101 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 # candidate matching is a permutation of segments and is acceptable exactly
 # when that permutation is a single cycle.
 #
-# A vertex block is rewired on one plain arc list: the arrivals at v are the
-# positions of its in-arcs, a forbidden wiring is read off a successor map
-# built once per call, and the segments are re-joined by slicing.  The walk is
-# validated, as a Circuit, once when the block is done.
+# A vertex block is rewired on two plain lists kept in step: the arc ids of
+# the walk and the head vertex of each arc.  The arrivals at v come from one
+# forward pass of C-level `heads.index` calls, a forbidden wiring is read off
+# a successor map built once per call, and both lists are re-joined with the
+# same slices.  The walk is validated, as a Circuit, once when the block is
+# done.
 
 
-def _rewire_search(seq: list[int], arrivals: list[int], forbidden_pairs: set):
-    """First perfect matching (lexicographic by arc ids) avoiding
-    forbidden_pairs whose segment permutation is a single cycle, laid out as
-    a new arc list; None if there is none.  `arrivals` are the ascending
-    positions of the vertex's in-arcs in `seq`."""
-    n = len(seq)
-    d = len(arrivals)
-    # (start_pos, end_pos) inclusive, cyclic slices
-    segments = [((arrivals[j - 1] + 1) % n, arrivals[j]) for j in range(d)]
-    seg_by_in = {seq[end]: j for j, (_, end) in enumerate(segments)}
-    seg_by_out = {seq[start]: j for j, (start, _) in enumerate(segments)}
-    in_ids = sorted(seg_by_in)  # in-arc ids ascending
-    out_ids = sorted(seg_by_out)
-    # forbidden segment transitions
-    banned = {
-        (seg_by_in[i], seg_by_out[o])
-        for (i, o) in forbidden_pairs
-        if i in seg_by_in and o in seg_by_out
-    }
-    succ = [-1] * d  # segment permutation under the partial matching
-    pred = [-1] * d
-    used_out = [False] * d
+def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
+    """First matching of in-arcs to out-arcs, lexicographic by arc ids, that
+    avoids the `banned` (in, out) pairs and whose segment permutation is a
+    single cycle; None if there is none.
 
-    def chain_head(t: int) -> int:
-        while pred[t] >= 0:
-            t = pred[t]
-        return t
+    Segment j ends with in-arc ends[j] and begins with out-arc starts[j].  The
+    result maps each segment to the one that follows it: succ[j] = t wires
+    ends[j] to starts[t].
 
-    def assign(idx: int) -> bool:
-        if idx == d:
-            return True
-        s = seg_by_in[in_ids[idx]]
-        for o in out_ids:
-            t = seg_by_out[o]
-            if used_out[t] or (s, t) in banned:
-                continue
-            if t == chain_head(s) and idx < d - 1:
-                continue  # would close a short cycle
-            succ[s] = t
-            pred[t] = s
-            used_out[t] = True
-            if assign(idx + 1):
-                return True
+    The in-arcs are matched in ascending order on an explicit stack.  Once
+    idx of them are matched, the rest of the search depends only on the chain
+    head of each unmatched in-segment (each is the tail of its own chain), so
+    a state whose subtree failed is recorded and skipped when it comes round
+    again.  The key is built only after a failure, and skipping only failed
+    subtrees keeps the first answer.  head/tail give a chain's ends in O(1)
+    and are undone on backtrack.
+    """
+    d = len(ends)
+    in_segs = sorted(range(d), key=ends.__getitem__)
+    out_segs = sorted(range(d), key=starts.__getitem__)
+    options = [[t for t in out_segs if (ends[s], starts[t]) not in banned] for s in in_segs]
+    head = list(range(d))  # head[x]: first segment of the chain that x ends
+    tail = list(range(d))  # tail[x]: last segment of the chain that x begins
+    used = [False] * d  # the segment already has a predecessor
+    succ = [-1] * d
+    undo: list = [None] * d  # per depth: (s, t, head of s, tail of t)
+    nxt = [0] * d  # per depth: the next option to try
+    failed: set = set()  # the states whose subtree failed
+
+    def state(idx: int) -> tuple:  # chain heads of the unmatched in-segments
+        return tuple(map(head.__getitem__, in_segs[idx:]))
+
+    idx = 0
+    while True:
+        s = in_segs[idx]
+        hs = head[s]
+        opts = options[idx]
+        t = -1
+        if nxt[idx] or not failed or state(idx) not in failed:
+            closing = idx == d - 1  # only the last match may close the cycle
+            for i in range(nxt[idx], len(opts)):
+                if not used[opts[i]] and (opts[i] != hs or closing):
+                    t = opts[i]
+                    nxt[idx] = i + 1
+                    break
+            else:
+                failed.add(state(idx))
+        if t < 0:
+            if idx == 0:
+                return None
+            idx -= 1
+            s, t, hs, tt = undo[idx]
             succ[s] = -1
-            pred[t] = -1
-            used_out[t] = False
-        return False
+            used[t] = False
+            head[tt] = t
+            tail[hs] = s
+            continue
+        tt = tail[t]
+        undo[idx] = (s, t, hs, tt)
+        succ[s] = t
+        used[t] = True
+        head[tt] = hs
+        tail[hs] = tt
+        idx += 1
+        if idx == d:
+            return succ
+        nxt[idx] = 0
 
-    if not assign(0):
-        return None
-    # lay segments out along the new permutation, starting from segment 0
-    order = [0]
-    while len(order) < d:
-        order.append(succ[order[-1]])
+
+def _splice(seq: list[int], heads: list[int], arrivals: list[int], succ: list[int]):
+    """Both lists re-joined with the same slices: the segments laid out along
+    succ, starting from segment 0 (the one that wraps round the list end)."""
     new_seq: list[int] = []
-    for t in order:
-        start, end = segments[t]
-        if start > end:
+    new_heads: list[int] = []
+    t = 0
+    for _ in arrivals:
+        start, stop = arrivals[t - 1] + 1, arrivals[t] + 1
+        if start < stop:
+            new_seq += seq[start:stop]
+            new_heads += heads[start:stop]
+        else:
             new_seq += seq[start:]
-            start = 0
-        new_seq += seq[start : end + 1]
-    return new_seq
+            new_seq += seq[:stop]
+            new_heads += heads[start:]
+            new_heads += heads[:stop]
+        t = succ[t]
+    return new_seq, new_heads
 
 
 def _successors(circuit: Circuit) -> dict[int, int]:
@@ -336,6 +363,8 @@ def rewire_vertex_set(
     n = len(seq)
     if len(set(seq)) != n:
         raise ParameterOutOfRange("circuit repeats an arc")
+    arcs = g.arcs
+    heads = [arcs[a].head for a in seq]
     successors = None if forbidden is None else [_successors(c) for c in forbidden]
     for v in vertices:
         ins = g.in_arcs[v]
@@ -351,12 +380,19 @@ def rewire_vertex_set(
                 f"{len(successors)} forbidden circuits at degree {deg}; "
                 f"at most {deg // 2 - 1} supported"
             )
+        # the arc list repeats no arc, so deg positions with head v are all of ins
+        arrivals = []
+        p = -1
         try:
-            arrivals = sorted(map(seq.index, ins))
+            for _ in ins:
+                p = heads.index(v, p + 1)
+                arrivals.append(p)
         except ValueError:
             raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}") from None
+        ends = [seq[p] for p in arrivals]
+        outs = [seq[(p + 1) % n] for p in arrivals]  # outs[j] begins segment j + 1
         if successors is None:
-            banned = {(seq[p], seq[(p + 1) % n]) for p in arrivals}
+            banned = set(zip(ends, outs))
         else:
             try:
                 banned = {(a, s[a]) for s in successors for a in ins}
@@ -364,9 +400,10 @@ def rewire_vertex_set(
                 raise ParameterOutOfRange(
                     f"a forbidden circuit misses an in-arc of vertex {label!r}"
                 ) from None
-        seq = _rewire_search(seq, arrivals, banned)
-        if seq is None:
+        succ = _rewire_search(ends, outs[-1:] + outs[:-1], banned)
+        if succ is None:
             raise SearchExhausted(f"no acceptable rewiring at vertex {label!r}")
+        seq, heads = _splice(seq, heads, arrivals, succ)
     return Circuit(g, tuple(seq))
 
 

@@ -9,7 +9,7 @@ export     write a word graph as DOT or JSON
 
 Exit codes: 0 success, 1 a verified property does not hold, 2 usage or
 parameter errors (including exceeded search guards), 3 internal certification
-failure.
+failure or any other internal error.
 """
 
 from __future__ import annotations
@@ -354,6 +354,11 @@ def main(argv=None) -> int:
     except OrthoseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # a closed stdout, e.g. `| head`, is not a fault of the program
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -60,7 +60,6 @@ class OrthogonalCollectionRequest:
     weight: Optional[int] = None
     weight_band: Optional[tuple[int, int]] = None
     alphabet: Optional[Alphabet] = None
-    attempt_search: bool = False
 
 
 @dataclass
@@ -309,83 +308,21 @@ def _avoiding_cycle_base(sigma: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(v[0] for v in path)
 
 
-def _avoiding_cycles_generic(sigma: int, k: int, max_nodes: int = 20_000_000) -> list[tuple]:
-    """Level-wise backtracking without the translate structure (non prime
-    powers).  May legitimately exhaust."""
-    words: list[tuple] = []
-    used: set = set()
-    nodes = 0
-    n = sigma**k
-
-    def level(i: int) -> bool:
-        nonlocal nodes
-        if i == sigma:
-            return True
-        avoid = (i,) * k
-        start = (0,) * k if avoid != (0,) * k else (0,) * (k - 1) + (1,)
-        visited = {avoid, start}
-        path = [start]
-
-        def dfs(u: tuple) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > max_nodes:
-                raise SearchExhausted(f"avoiding-cycle search exceeded {max_nodes} nodes")
-            if len(path) == n - 1:
-                w = u + (start[-1],)
-                if u[1:] != start[:-1] or w in used:
-                    return False
-                used.add(w)
-                word = tuple(v[0] for v in path)
-                words.append(word)
-                if level(i + 1):
-                    return True
-                words.pop()
-                used.discard(w)
-                return False
-            for c in range(sigma):
-                v = u[1:] + (c,)
-                w = u + (c,)
-                if v in visited or w in used:
-                    continue
-                visited.add(v)
-                used.add(w)
-                path.append(v)
-                if dfs(v):
-                    return True
-                path.pop()
-                used.discard(w)
-                visited.remove(v)
-            return False
-
-        return dfs(start)
-
-    if not level(0):
-        raise SearchExhausted(f"no arc-disjoint avoiding cycles found for sigma={sigma}")
-    return words
-
-
-def find_arc_disjoint_avoiding_cycles(
-    sigma: int, k: int, attempt_search: bool = False
-) -> list[Circuit]:
+def find_arc_disjoint_avoiding_cycles(sigma: int, k: int) -> list[Circuit]:
     """sigma pairwise arc-disjoint cycles on the order-(k+1) graph, the i-th
     avoiding the all-i vertex and visiting every other k-word exactly once.
 
-    Guaranteed for prime-power sigma; NotPrimePower otherwise unless
-    attempt_search asks for a best-effort backtracking run.
+    Guaranteed for prime-power sigma; NotPrimePower otherwise.
     """
     if sigma < 2 or k < 1:
         raise ParameterOutOfRange("need sigma >= 2 and k >= 1")
     graph = build_de_bruijn_graph(sigma, k + 1)
-    if is_prime_power(sigma):
-        p = next(iter(factorize(sigma)))
-        base = _avoiding_cycle_base(sigma, k, p)
-        add = _digit_add_table(sigma, p)
-        cycle_words = [tuple(add[s][t] for s in base) for t in range(sigma)]
-    elif attempt_search:
-        cycle_words = _avoiding_cycles_generic(sigma, k)
-    else:
+    if not is_prime_power(sigma):
         raise NotPrimePower(f"sigma = {sigma} is not a prime power")
+    p = next(iter(factorize(sigma)))
+    base = _avoiding_cycle_base(sigma, k, p)
+    add = _digit_add_table(sigma, p)
+    cycle_words = [tuple(add[s][t] for s in base) for t in range(sigma)]
     circuits = [word_to_circuit(w, graph) for w in cycle_words]
     # internal invariants: avoidance, coverage, disjointness
     for i, c in enumerate(circuits):

@@ -1,10 +1,10 @@
 """Independent brute-force verification of constructed sequences.
 
-Everything here works by counting windows of circular words with plain tuple
-slicing, or by exhaustive search over small instances.  It deliberately shares
-no traversal logic with the construction side: a certificate produced by this
-module is evidence that a construction is right, not that it agrees with
-itself.
+Everything here works by counting the windows of circular words (read off by
+zipping shifted copies of the word), or by exhaustive search over small
+instances.  It deliberately shares no traversal logic with the construction
+side: a certificate produced by this module is evidence that a construction
+is right, not that it agrees with itself.
 """
 
 from __future__ import annotations
@@ -68,23 +68,24 @@ def circular_window_counts(word, n: int) -> Counter:
     Windows longer than the word wrap as often as needed, so short periodic
     words (for example sub-alphabet coverings of length 2) still read out.
     """
-    entries = as_entries(word)
+    return Counter(_windows(as_entries(word), n))
+
+
+def _windows(entries: tuple, n: int):
+    """The length-n windows of a circular word, in order, as one zip over n
+    shifted copies of it."""
     _require(n >= 1, "window length must be >= 1")
     _require(len(entries) >= 1, "empty word has no windows")
-    reps = 1 + (n - 1 + len(entries) - 1) // len(entries)
-    ext = entries * reps
-    return Counter(ext[i : i + n] for i in range(len(entries)))
+    size = len(entries)
+    ext = entries * (1 + (n - 1 + size - 1) // size)
+    return zip(*(ext[i : i + size] for i in range(n)))
 
 
 def _first_window_violation(word, n: int, expected: dict) -> Optional[tuple]:
     """First window (in scan order) whose running count exceeds its target,
     or that is not in the expected support at all."""
-    entries = as_entries(word)
-    reps = 1 + (n - 1 + len(entries) - 1) // len(entries)
-    ext = entries * reps
     running: Counter = Counter()
-    for i in range(len(entries)):
-        w = ext[i : i + n]
+    for w in _windows(as_entries(word), n):
         running[w] += 1
         if running[w] > expected.get(w, 0):
             return w
@@ -131,26 +132,26 @@ def _kautz_words(sigma: int, k: int) -> list[tuple[int, ...]]:
 
 def is_de_bruijn(word, sigma: int, k: int) -> VerificationReport:
     """Every k-word over the sigma symbols appears exactly once."""
-    expected = {w: 1 for w in _all_words(sigma, k)}
+    expected = dict.fromkeys(_all_words(sigma, k), 1)
     return _covering_report(word, k, expected, f"de_bruijn({sigma},{k})")
 
 
 def is_b_balanced(word, sigma: int, k: int, b: int) -> VerificationReport:
     """Every k-word appears exactly b times."""
     _require(b >= 1, "b must be >= 1")
-    expected = {w: b for w in _all_words(sigma, k)}
+    expected = dict.fromkeys(_all_words(sigma, k), b)
     return _covering_report(word, k, expected, f"balanced({sigma},{k},b={b})")
 
 
 def is_kautz_word(word, sigma: int, k: int) -> VerificationReport:
     """Every adjacent-distinct k-word appears exactly once (circularly)."""
-    expected = {w: 1 for w in _kautz_words(sigma, k)}
+    expected = dict.fromkeys(_kautz_words(sigma, k), 1)
     return _covering_report(word, k, expected, f"kautz({sigma},{k})")
 
 
 def is_b_balanced_kautz(word, sigma: int, k: int, b: int) -> VerificationReport:
     _require(b >= 1, "b must be >= 1")
-    expected = {w: b for w in _kautz_words(sigma, k)}
+    expected = dict.fromkeys(_kautz_words(sigma, k), b)
     return _covering_report(word, k, expected, f"kautz_balanced({sigma},{k},b={b})")
 
 
@@ -160,7 +161,7 @@ def is_fixed_weight_db(word, language: Iterable) -> VerificationReport:
     _require(bool(words), "language is empty")
     k = len(words[0])
     _require(all(len(w) == k for w in words), "language mixes word lengths")
-    expected = {w: 1 for w in words}
+    expected = dict.fromkeys(words, 1)
     _require(len(expected) == len(words), "language contains duplicates")
     return _covering_report(word, k, expected, f"language_db(k={k},|L|={len(words)})")
 
@@ -168,21 +169,20 @@ def is_fixed_weight_db(word, language: Iterable) -> VerificationReport:
 def is_self_orthogonal(word, k: int) -> VerificationReport:
     """No repeated (k+1)-window within the word itself."""
     counts = circular_window_counts(word, k + 1)
-    for w, c in counts.items():
-        if c > 1:
-            witness = _first_window_violation(word, k + 1, {u: 1 for u in counts})
-            return VerificationReport(
-                f"self_orthogonal(k={k})", False, witness=witness, counts=dict(counts)
-            )
+    if max(counts.values()) > 1:
+        witness = _first_window_violation(word, k + 1, dict.fromkeys(counts, 1))
+        return VerificationReport(
+            f"self_orthogonal(k={k})", False, witness=witness, counts=dict(counts)
+        )
     return VerificationReport(f"self_orthogonal(k={k})", True, counts=dict(counts))
 
 
 def is_l_orthogonal(collection: Sequence, k: int, ell: int) -> VerificationReport:
     """Across the whole collection, every (k+1)-window appears <= ell times."""
     _require(ell >= 1, "ell must be >= 1")
-    total: Counter = Counter()
-    for word in collection:
-        total.update(circular_window_counts(word, k + 1))
+    total = Counter(
+        itertools.chain.from_iterable(_windows(as_entries(word), k + 1) for word in collection)
+    )
     bad = sorted(w for w, c in total.items() if c > ell)
     prop = f"l_orthogonal(k={k},ell={ell},n={len(collection)})"
     if bad:
@@ -207,23 +207,22 @@ def are_compatible(circuits: Sequence, ell: int = 1) -> VerificationReport:
     """Wirings pairwise edge-disjoint at every vertex (or, with ell > 1, no
     in/out pair used more than ell times across the collection)."""
     _check_same_graph(circuits)
-    use: Counter = Counter()
-    for c in circuits:
-        arcs = c.graph.arcs
-        seq = c.arc_seq
-        n = len(seq)
-        for i, aid in enumerate(seq):
-            nxt = seq[(i + 1) % n]
-            use[(arcs[aid].head, aid, nxt)] += 1
-    bad = sorted((key, cnt) for key, cnt in use.items() if cnt > ell)
-    prop = f"compatible(n={len(circuits)},ell={ell})"
-    if bad:
-        (vertex, a_in, a_out), cnt = bad[0]
-        return VerificationReport(
-            prop,
-            False,
-            witness=(circuits[0].graph.vertex_labels[vertex], a_in, a_out, cnt),
+    # an (in, out) arc pair fixes its vertex, the head of the in-arc
+    use = Counter(
+        itertools.chain.from_iterable(
+            zip(c.arc_seq, c.arc_seq[1:] + c.arc_seq[:1]) for c in circuits
         )
+    )
+    prop = f"compatible(n={len(circuits)},ell={ell})"
+    if max(use.values()) > ell:
+        g = circuits[0].graph
+        bad = sorted(
+            ((g.arcs[a_in].head, a_in, a_out), cnt)
+            for (a_in, a_out), cnt in use.items()
+            if cnt > ell
+        )
+        (vertex, a_in, a_out), cnt = bad[0]
+        return VerificationReport(prop, False, witness=(g.vertex_labels[vertex], a_in, a_out, cnt))
     return VerificationReport(prop, True)
 
 

@@ -207,6 +207,20 @@ def test_rewire_vertex_set_builds_a_compatible_circuit():
     assert is_l_orthogonal([word_of(base), word_of(other)], k=2, ell=1).holds
 
 
+def test_incompatible_pair_names_its_first_shared_wiring():
+    # the witness is (vertex label, in-arc, out-arc, uses) of the smallest
+    # over-used pair by (vertex, in-arc, out-arc); both values predate the
+    # counting of wirings by arc pairs
+    g = build_de_bruijn_graph(3, 3)
+    base = find_eulerian_circuit(g)
+    other = rewire_vertex_set([0, 1, 2, 3], base)
+    assert are_compatible([base, other]).witness == ((1, 1), 4, 12, 2)
+    g = build_de_bruijn_graph(3, 2)
+    base = find_eulerian_circuit(g)
+    other = rewire(1, base)
+    assert are_compatible([base, other, base], ell=2).witness == ((0,), 0, 1, 3)
+
+
 # rewiring walks one arc list through a vertex block and builds the Circuit
 # once at the end; these pin the checks that remain on that path
 
@@ -255,17 +269,18 @@ def test_rewiring_rejects_a_walk_that_repeats_an_arc():
 def test_a_bad_splice_is_caught_when_the_fold_returns(monkeypatch):
     import orthoseq.circuits as circuits
 
-    search = circuits._rewire_search
+    splice = circuits._splice
     calls = []
 
-    def swap_first_two(seq, arrivals, forbidden_pairs):
-        out = search(seq, arrivals, forbidden_pairs)
-        if not calls:  # corrupt the first vertex's splice only
-            out[0], out[1] = out[1], out[0]
-        calls.append(out)
-        return out
+    def swap_first_two(seq, heads, arrivals, succ):
+        out_seq, out_heads = splice(seq, heads, arrivals, succ)
+        if not calls:  # corrupt the first vertex's splice only, in both lists
+            out_seq[0], out_seq[1] = out_seq[1], out_seq[0]
+            out_heads[0], out_heads[1] = out_heads[1], out_heads[0]
+        calls.append(out_seq)
+        return out_seq, out_heads
 
-    monkeypatch.setattr(circuits, "_rewire_search", swap_first_two)
+    monkeypatch.setattr(circuits, "_splice", swap_first_two)
     g = build_de_bruijn_graph(4, 2)
     base = find_eulerian_circuit(g)
     with pytest.raises(ParameterOutOfRange, match="not a valid transition"):

@@ -1,8 +1,9 @@
 """Command line interface tests.
 
 Drives `main` in process: exit codes (0 success, 1 failed property, 2 usage
-errors, 3 internal certification failures), the generate -> verify closed
-loop, byte determinism of repeated runs, and the output formats.
+errors, 3 internal certification failures and other internal errors), the
+generate -> verify closed loop, byte determinism of repeated runs, and the
+output formats.
 """
 
 from __future__ import annotations
@@ -108,6 +109,22 @@ def test_certification_failure_is_three(capsys, monkeypatch):
     code = main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+def test_any_other_exception_is_three(capsys, monkeypatch, error):
+    # a crash must never pose as 1, "a verified property does not hold"
+    def crash(request):
+        raise error
+
+    monkeypatch.setattr("orthoseq.cli.construct", crash)
+    code = main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: internal error: {type(error).__name__}: {error}"
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Invariants checked on randomized inputs:
 
-* window histograms of a circular word always sum to its length
+* window histograms of a circular word always sum to its length and match
+  the slicing definition, also for windows longer than the word
 * de Bruijn membership is invariant under rotation and symbol relabeling
 * the two compatibility routes agree: wiring disjointness of the circuits
   versus window counting on their words
 * rewiring changes exactly the chosen vertex and preserves the circuit
+* the memoized matching search returns the brute-force first matching
 * a circuit survives a split/merge round trip through any of its wirings
 * the digit bijection between one big alphabet and a pair of factors is
   invertible entrywise
@@ -15,9 +17,13 @@ Invariants checked on randomized inputs:
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import itertools
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 
 from orthoseq.circuits import (
+    _rewire_search,
     circuit_to_word,
     find_eulerian_circuit,
     merge_circuit,
@@ -50,6 +56,18 @@ def test_window_counts_sum_to_length(word, n):
     counts = circular_window_counts(word, n)
     assert sum(counts.values()) == len(word)
     assert all(len(w) == n for w in counts)
+
+
+@given(
+    word=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12).map(tuple),
+    n=st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=120, deadline=None)
+def test_window_counts_match_the_slicing_definition(word, n):
+    windows = [tuple(word[(i + j) % len(word)] for j in range(n)) for i in range(len(word))]
+    counts = circular_window_counts(word, n)
+    assert counts == Counter(windows)
+    assert list(counts) == list(dict.fromkeys(windows))  # in first-seen order, too
 
 
 @given(
@@ -161,3 +179,61 @@ def test_word_circuit_round_trip_at_any_phase(rotation):
     word = word_of(find_eulerian_circuit(graph))
     rotated = word[rotation:] + word[:rotation]
     assert word_of(word_to_circuit(rotated, graph)) == rotated
+
+
+# ----------------------------------------------------------------------
+# the memoized matching search against brute force
+
+
+def first_matching_by_brute_force(ends, starts, banned):
+    """The first in-arc -> out-arc matching, in lexicographic order of the
+    out-arcs given to the ascending in-arcs, that avoids `banned` and chains
+    the segments into one cycle; None if there is none."""
+    d = len(ends)
+    seg_of_out = {o: t for t, o in enumerate(starts)}
+    in_order = sorted(range(d), key=ends.__getitem__)
+    for outs in itertools.permutations(sorted(starts)):
+        succ = [0] * d
+        for s, o in zip(in_order, outs):
+            succ[s] = seg_of_out[o]
+        if any((ends[s], starts[succ[s]]) in banned for s in range(d)):
+            continue
+        t, length = succ[0], 1
+        while t != 0:
+            t, length = succ[t], length + 1
+        if length == d:
+            return dict(zip(ends, (starts[succ[s]] for s in range(d))))
+    return None
+
+
+@st.composite
+def segment_layouts(draw):
+    """Segment j ends with in-arc ends[j] and begins with out-arc starts[j];
+    the two id sets may overlap, as loops make them do.  Dense random bans
+    force the search to backtrack."""
+    d = draw(st.integers(min_value=3, max_value=7))
+    ids = st.integers(min_value=0, max_value=2 * d)
+    ends = draw(st.lists(ids, min_size=d, max_size=d, unique=True))
+    starts = draw(st.lists(ids, min_size=d, max_size=d, unique=True))
+    pairs = [(a, b) for a in ends for b in starts]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return ends, starts, {p for p, ban in zip(pairs, mask) if ban}
+
+
+@given(layout=segment_layouts())
+# each example revisits a failed state, so the memo skips a subtree
+@example(layout=([5, 6, 2, 0], [8, 5, 1, 0], {(2, 8), (6, 8)}))
+@example(layout=([6, 3, 4, 8], [2, 0, 7, 8], {(3, 0), (3, 7), (8, 0), (8, 2), (8, 7)}))
+@example(
+    layout=(
+        [0, 6, 5, 2, 1],
+        [4, 10, 7, 5, 3],
+        {(1, 7), (2, 7), (5, 3), (5, 4), (5, 5), (5, 10), (6, 4), (6, 5)},
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_matching_search_returns_the_first_matching(layout):
+    ends, starts, banned = layout
+    succ = _rewire_search(ends, starts, banned)
+    found = None if succ is None else dict(zip(ends, (starts[t] for t in succ)))
+    assert found == first_matching_by_brute_force(ends, starts, banned)

@@ -9,6 +9,9 @@ windows; nothing here consults the construction code.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from orthoseq.alphabet import Word, dna_alphabet
@@ -35,6 +38,21 @@ def dna_word(text: str) -> tuple[int, ...]:
 
 def digits(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
+
+
+def test_the_oracle_imports_nothing_from_the_construction_side():
+    import orthoseq.verify
+
+    tree = ast.parse(Path(orthoseq.verify.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "orthoseq":
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.split(".")[0] == "orthoseq")
+    assert package == {"alphabet", "errors"}
 
 
 # ----------------------------------------------------------------------
