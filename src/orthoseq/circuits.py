@@ -22,7 +22,7 @@ from .errors import (
     SearchExhausted,
     TooManyForbidden,
 )
-from .graphs import DirectedMultigraph
+from .graphs import DirectedMultigraph, mixed_radix_join
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,10 @@ class Circuit:
         if not self.arc_seq:
             raise ParameterOutOfRange("empty circuit")
         arcs = self.graph.arcs
-        n = len(self.arc_seq)
-        for i, aid in enumerate(self.arc_seq):
-            nxt = arcs[self.arc_seq[(i + 1) % n]]
-            if arcs[aid].head != nxt.tail:
-                raise ParameterOutOfRange(
-                    f"arc {aid} -> {nxt.id} is not a valid transition"
-                )
+        seq = self.arc_seq
+        for aid, nxt in zip(seq, seq[1:] + seq[:1]):
+            if arcs[aid].head != arcs[nxt].tail:
+                raise ParameterOutOfRange(f"arc {aid} -> {nxt} is not a valid transition")
 
     def __len__(self) -> int:
         return len(self.arc_seq)
@@ -79,14 +76,17 @@ def word_to_circuit(word, graph: DirectedMultigraph) -> Circuit:
         raise ParameterOutOfRange("graph does not carry a word order")
     if not entries:
         raise ParameterOutOfRange("empty word")
-    if k > 1:
-        # short periodic words wrap: a length-1 word on an order-2 graph is a loop
-        reps = (k - 1 + len(entries) - 1) // len(entries)
-        ext = (entries * reps)[-(k - 1):] + entries
-    else:
-        ext = entries
+    n = len(entries)
+    # the k-1 symbols before position 0; short periodic words wrap, so a
+    # length-1 word on an order-2 graph is a loop
+    ext = (entries * k)[(n - 1) * k + 1 :] + entries
+    if graph.full_de_bruijn and {int}.issuperset(map(type, ext)) and (
+        0 <= min(ext) and max(ext) < graph.sigma
+    ):  # arc id = the window's base-sigma value
+        windows = [ext[j : j + n] for j in range(k)]
+        return Circuit(graph, mixed_radix_join(windows, [graph.sigma] * k))
     seq = []
-    for t in range(len(entries)):
+    for t in range(n):
         window = ext[t : t + k]
         try:
             seq.append(graph.arc_id_of_word(window))

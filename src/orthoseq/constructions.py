@@ -9,9 +9,9 @@ object ever leaves this module.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +32,6 @@ from .errors import (
     NotCoprime,
     NotPrimePower,
     ParameterOutOfRange,
-    SearchExhausted,
     UnsupportedCase,
 )
 from .graphs import (
@@ -250,84 +249,67 @@ def construct_l_orthogonal_kautz(
 # arc-disjoint avoiding cycles (prime-power alphabets)
 
 
-def _digit_add_table(sigma: int, p: int) -> list[list[int]]:
-    """Digitwise addition mod p of base-p expansions; the additive group."""
+def _field_tables(p: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables of GF(p^m) on the base-p digit
+    encoding (digit j is the coefficient of x^j), so addition is digitwise."""
+    digits = [[a // p**j % p for j in range(m)] for a in range(p**m)]
 
-    def add(a: int, b: int) -> int:
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+    def value(ds) -> int:
+        return sum(d % p * p**j for j, d in enumerate(ds))
 
-    return [[add(s, t) for t in range(sigma)] for s in range(sigma)]
+    def times(da, db, low) -> int:  # the product modulo x^m + low
+        prod = [0] * (2 * m - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(da), enumerate(db)):
+            prod[i + j] += x * y
+        for d in range(2 * m - 2, m - 1, -1):  # x^m = -low
+            for j, c in enumerate(low):
+                prod[d - m + j] -= prod[d] * c
+        return value(prod[:m])
+
+    add = [[value(map(operator.add, da, db)) for db in digits] for da in digits]
+    # the first modulus whose quotient ring has no zero divisors is irreducible
+    tables = ([[times(da, db, low) for db in digits] for da in digits] for low in digits)
+    return add, next(t for t in tables if all(0 not in row[1:] for row in t[1:]))
 
 
-@functools.lru_cache(maxsize=None)
-def _avoiding_cycle_base(sigma: int, k: int, p: int) -> tuple[int, ...]:
-    """Cycle word through all k-words except 0^k whose (k+1)-window set is
-    disjoint from its own nontrivial digitwise translates.  Its sigma
-    translates then form the whole arc-disjoint family."""
-    add = _digit_add_table(sigma, p)
-    zero = (0,) * k
-    start = (0,) * (k - 1) + (1,)
-    target = sigma**k - 1
-    visited = {zero, start}
-    path = [start]
-    forbidden: set = set()
-
-    def translates(w: tuple) -> list[tuple]:
-        return [tuple(add[s][t] for s in w) for t in range(sigma)]
-
-    def dfs(u: tuple) -> bool:
-        if len(path) == target:
-            if u[1:] != start[:-1]:
-                return False
-            return u + (start[-1],) not in forbidden
-        for c in range(sigma):
-            v = u[1:] + (c,)
-            w = u + (c,)
-            if v in visited or w in forbidden:
-                continue
-            tr = translates(w)
-            forbidden.update(tr)
-            visited.add(v)
-            path.append(v)
-            if dfs(v):
-                return True
-            path.pop()
-            visited.remove(v)
-            forbidden.difference_update(tr)
-        return False
-
-    if not dfs(start):
-        raise SearchExhausted(f"no translate-disjoint cycle for sigma={sigma}, k={k}")
-    return tuple(v[0] for v in path)
+def _m_sequence(q: int, k: int, add: list[list[int]], mul: list[list[int]]) -> list[int]:
+    """One period, from the state 0...01, of the first recurrence
+    x_n = c_(k-1) x_(n-1) + ... + c_0 x_(n-k) over GF(q) of full period q^k - 1
+    (one exists for every q and k), taking (c_(k-1), ..., c_0) in lexicographic
+    order with c_0 != 0, so the state map is invertible and the start recurs."""
+    start = [0] * (k - 1) + [1]
+    for coeffs in itertools.product(*[range(q)] * (k - 1), range(1, q)):
+        taps = [mul[c] for c in reversed(coeffs)]  # taps[i] multiplies x_(n-k+i)
+        seq = list(start)
+        while len(seq) == k or seq[-k:] != start:
+            x = 0
+            for row, s in zip(taps, seq[-k:]):
+                x = add[x][row[s]]
+            seq.append(x)
+        if len(seq) - k == q**k - 1:
+            return seq[:-k]
 
 
 def find_arc_disjoint_avoiding_cycles(sigma: int, k: int) -> list[Circuit]:
     """sigma pairwise arc-disjoint cycles on the order-(k+1) graph, the i-th
     avoiding the all-i vertex and visiting every other k-word exactly once.
 
-    Guaranteed for prime-power sigma; NotPrimePower otherwise.
-    """
+    Guaranteed for prime-power sigma; NotPrimePower otherwise.  Cycle t is an
+    m-sequence plus t, whose windows obey its recurrence plus t*f(1) for the
+    characteristic polynomial f; f(1) != 0 (or sigma = 2, k = 1), so no two
+    cycles share a window."""
     if sigma < 2 or k < 1:
         raise ParameterOutOfRange("need sigma >= 2 and k >= 1")
     graph = build_de_bruijn_graph(sigma, k + 1)
     if not is_prime_power(sigma):
         raise NotPrimePower(f"sigma = {sigma} is not a prime power")
-    p = next(iter(factorize(sigma)))
-    base = _avoiding_cycle_base(sigma, k, p)
-    add = _digit_add_table(sigma, p)
-    cycle_words = [tuple(add[s][t] for s in base) for t in range(sigma)]
-    circuits = [word_to_circuit(w, graph) for w in cycle_words]
+    add, mul = _field_tables(*factorize(sigma).popitem())  # sigma = p^m
+    base = _m_sequence(sigma, k, add, mul)  # cycle t is base + t
+    circuits = [word_to_circuit([add[t][s] for s in base], graph) for t in range(sigma)]
     # internal invariants: avoidance, coverage, disjointness
     for i, c in enumerate(circuits):
         visits = set(c.vertex_seq())
-        if (i,) * k in visits or len(visits) != len(c) or len(c) != sigma**k - 1:
+        if graph.vertex_index[(i,) * k] in visits or not len(visits) == len(c) == sigma**k - 1:
             raise CertificationError(f"avoiding cycle {i} malformed")
     if not verify.are_arc_disjoint(circuits).holds:
         raise CertificationError("avoiding cycles share an arc")

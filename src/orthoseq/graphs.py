@@ -9,10 +9,10 @@ downstream searches are deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -29,6 +29,10 @@ class Arc(NamedTuple):
 
 class DirectedMultigraph:
     """Immutable-by-convention directed multigraph with dense arc ids."""
+
+    # set only by build_de_bruijn_graph: every sigma^k word is an arc, and an
+    # arc's id is its word's base-sigma value
+    full_de_bruijn = False
 
     def __init__(
         self,
@@ -47,12 +51,11 @@ class DirectedMultigraph:
         self.sigma = sigma
         self.k = k
         self.base = base  # original graph for kind == "split"
-        arcs = []
-        for aid, (tail_lab, head_lab, symbol) in enumerate(arc_specs):
-            arcs.append(
-                Arc(aid, self.vertex_index[tail_lab], self.vertex_index[head_lab], symbol)
-            )
-        self.arcs: tuple[Arc, ...] = tuple(arcs)
+        index = self.vertex_index
+        self.arcs: tuple[Arc, ...] = tuple(
+            Arc(aid, index[tail], index[head], symbol)
+            for aid, (tail, head, symbol) in enumerate(arc_specs)
+        )
         out_lists: list[list[int]] = [[] for _ in self.vertex_labels]
         in_lists: list[list[int]] = [[] for _ in self.vertex_labels]
         for a in self.arcs:
@@ -110,6 +113,7 @@ class DirectedMultigraph:
                 },
                 separators=(",", ":"),
             )
+            import hashlib  # here, not at start-up: only serialization reads it
             self._signature = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return self._signature
 
@@ -214,8 +218,17 @@ def build_de_bruijn_graph(sigma: int, k: int) -> DirectedMultigraph:
         raise ParameterOutOfRange(f"need sigma >= 2, got {sigma}")
     if k < 1:
         raise ParameterOutOfRange(f"need k >= 1, got {k}")
-    words = itertools.product(range(sigma), repeat=k)
-    return build_restricted_graph(words, kind="de_bruijn", sigma=sigma)
+    labels = itertools.product(range(sigma), repeat=k - 1)
+    g = DirectedMultigraph(labels, (), kind="de_bruijn", sigma=sigma, k=k)
+    n = g.num_vertices
+    # arc id = word value: tail = id // sigma (prefix), head = id mod n (suffix)
+    tails = itertools.chain.from_iterable(map(itertools.repeat, range(n), itertools.repeat(sigma)))
+    fields = zip(range(n * sigma), tails, itertools.cycle(range(n)), itertools.cycle(range(sigma)))
+    g.arcs = tuple(map(tuple.__new__, itertools.repeat(Arc), fields))  # Arc(*f), at C speed
+    g.out_arcs = tuple(tuple(range(v * sigma, (v + 1) * sigma)) for v in range(n))
+    g.in_arcs = tuple(tuple(range(v, n * sigma, n)) for v in range(n))
+    g.full_de_bruijn = True
+    return g
 
 
 def build_kautz_graph(sigma: int, k: int) -> DirectedMultigraph:
@@ -273,11 +286,7 @@ def mixed_radix_join(streams: Sequence[Sequence[int]], radices: Sequence[int]) -
     length, where it is the digit map from the tensor product of the graphs
     over radices[0], radices[1], ... onto the graph over their product.
     """
-    lengths = [len(s) for s in streams]
-    out = []
-    for t in range(math.lcm(*lengths)):
-        val = 0
-        for s, n, r in zip(streams, lengths, radices):
-            val = val * r + s[t % n]
-        out.append(val)
+    out = [0] * math.lcm(*map(len, streams))
+    for s, r in zip(streams, radices):
+        out = map(operator.add, map(operator.mul, out, itertools.repeat(r)), itertools.cycle(s))
     return tuple(out)

@@ -337,7 +337,9 @@ def exact_max_orthogonal(
     nodes = 0
     best = 0
 
-    def collection_dfs(depth: int, bound: Optional[tuple]) -> bool:
+    # Both searches are generators: `yield g` calls the generator g, which
+    # the loop at the end runs on an explicit stack, not Python's call stack.
+    def collection_dfs(depth: int, bound: Optional[tuple]):
         """Extend the collection with cycles strictly above `bound`.
         Returns True once the cutoff is reached (propagates the early exit).
         """
@@ -348,7 +350,7 @@ def exact_max_orthogonal(
         steps: list[int] = []
         visited = {start}
 
-        def cycle_dfs(u, tight: bool) -> bool:
+        def cycle_dfs(u, tight: bool):
             nonlocal nodes
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
@@ -356,12 +358,11 @@ def exact_max_orthogonal(
             if len(steps) == n - 1:
                 # closure is forced: u -> start needs u = (x,0,..,0), symbol 0
                 closing = u + (0,)
-                if u[1:] != start[:-1] or cap[closing] <= 0:
-                    return False
-                if tight:  # equal to the bound; need strictly greater
+                # tight: equal to the bound, where strictly greater is needed
+                if tight or u[1:] != start[:-1] or cap[closing] <= 0:
                     return False
                 cap[closing] -= 1
-                hit = collection_dfs(depth + 1, tuple(steps) + (0,))
+                hit = yield collection_dfs(depth + 1, tuple(steps) + (0,))
                 cap[closing] += 1
                 return hit
             lo = bound[len(steps)] if tight else 0
@@ -373,7 +374,7 @@ def exact_max_orthogonal(
                 visited.add(v)
                 cap[w] -= 1
                 steps.append(c)
-                hit = cycle_dfs(v, tight and c == lo)
+                hit = yield cycle_dfs(v, tight and c == lo)
                 steps.pop()
                 cap[w] += 1
                 visited.remove(v)
@@ -381,7 +382,14 @@ def exact_max_orthogonal(
                     return True
             return False
 
-        return cycle_dfs(start, bound is not None)
+        return (yield cycle_dfs(start, bound is not None))
 
-    collection_dfs(0, None)
+    stack, sent = [collection_dfs(0, None)], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(sent))
+            sent = None
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
     return best

@@ -159,6 +159,16 @@ def test_generated_collections_verify(capsys, tmp_path, gen, ver):
     capsys.readouterr()
 
 
+def test_balanced_order_five_generates_and_verifies(capsys, tmp_path):
+    # the backtracking avoiding-cycle search never finished this request
+    out_file = tmp_path / "words.txt"
+    assert main(["generate", "--family", "balanced-de-bruijn", "-c", "2", "-b", "2", "-k", "5",
+                 "-o", str(out_file)]) == 0
+    assert main(["verify", "--property", "balanced", "--sigma", "4", "-k", "5", "-b", "2",
+                 "--ell", "1", "--words-file", str(out_file)]) == 0
+    capsys.readouterr()
+
+
 def test_family_aliases_match_long_names(capsys):
     _, long_form = run(capsys, "generate", "--family", "de-bruijn", "--sigma", "3")
     _, short_form = run(capsys, "generate", "--family", "ortho-db", "--sigma", "3")

@@ -48,14 +48,14 @@ GOLDEN = {
     "generate --family ortho-kautz --dna -k 2 --ell 2 --format json": "f7ca33097b43de640fd100edf26a99bcb2316420014ab582d6129e2221b8ac6e",
     "generate --family ortho-kautz --dna -k 2 --ell 2 --format csv": "d386981687229ad6027a3e699399794f8a96cc19f0ca32a538303cab22aab714",
     "generate --family ortho-kautz --dna -k 2 --ell 2 --format fasta": "ec3a3671ad8d7849b256c00280b2dd655b46946e46c4f53e23c764e381df0d17",
-    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format text": "0e117b94b171d996987381a820555ef877e638de1967987ca03f8131c042f95e",
-    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format json": "8ebcf3df157e73a0f14c05694f0819f6d561c5b58b340f5ed14496a4351f5333",
-    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format csv": "0a04c263e2de46b0cc769bf4ffc4e80618ccfbda0f0c4f72648d3c3b601f5117",
-    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format fasta": "79fdc27b7fbed796bacc8c394d233f5db9c91539a3bb92de3f604ce89133bd71",
-    "generate --family balanced-db -c 2 -b 6 -k 2 --format text": "0e117b94b171d996987381a820555ef877e638de1967987ca03f8131c042f95e",
-    "generate --family balanced-db -c 2 -b 6 -k 2 --format json": "8ebcf3df157e73a0f14c05694f0819f6d561c5b58b340f5ed14496a4351f5333",
-    "generate --family balanced-db -c 2 -b 6 -k 2 --format csv": "0a04c263e2de46b0cc769bf4ffc4e80618ccfbda0f0c4f72648d3c3b601f5117",
-    "generate --family balanced-db -c 2 -b 6 -k 2 --format fasta": "79fdc27b7fbed796bacc8c394d233f5db9c91539a3bb92de3f604ce89133bd71",
+    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format text": "7ec0fbf367a7ece075ce719c468782ee420b20bf920995f8f4563a457ed8e70f",
+    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format json": "4604ce0156ec81c8ebebd360241b902e1607cfd48548774694555fd80361edb4",
+    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format csv": "f10d4f039c4ac1c36ec2d56e967a7fb7f85bbf4fe6357922a20f0006fa055433",
+    "generate --family balanced-de-bruijn -c 2 -b 6 -k 2 --format fasta": "8570bb227aeee1a2694012fcdce614b312ef330a4861ee3bd8b5cc16b22de366",
+    "generate --family balanced-db -c 2 -b 6 -k 2 --format text": "7ec0fbf367a7ece075ce719c468782ee420b20bf920995f8f4563a457ed8e70f",
+    "generate --family balanced-db -c 2 -b 6 -k 2 --format json": "4604ce0156ec81c8ebebd360241b902e1607cfd48548774694555fd80361edb4",
+    "generate --family balanced-db -c 2 -b 6 -k 2 --format csv": "f10d4f039c4ac1c36ec2d56e967a7fb7f85bbf4fe6357922a20f0006fa055433",
+    "generate --family balanced-db -c 2 -b 6 -k 2 --format fasta": "8570bb227aeee1a2694012fcdce614b312ef330a4861ee3bd8b5cc16b22de366",
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format text": "6c9929cf3aff20a91ea678e7cae87c72fca47ca4e175e1288f9183db66a9a765",
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format json": "7d9279f7f5b35bc520a16396dc7a3ea53dc2dc9226e25ef8f80fd39850aa9d77",
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format csv": "f3a136eb55e7c25ee0add57a30c78abb92b7b1fb2ee2d8096313490aa2a98da9",
@@ -90,7 +90,7 @@ GOLDEN = {
     "enumerate --dna -k 3 --band 1 1 --format fasta": "1c48ce8bc462744df00f3fc989f84f6927567c6bf6835da35d2815dd014f5660",
     "enumerate --sigma 3 -k 2 --max-results 5": "0b325c176a011bb5f5821b293e3ed49aed057b5374f05fa5de4e046b2b57bc4a",
     "generate --family de-bruijn --sigma 4 -k 2": "b7f3d18ad965fbca3d9ebcdfdd1d81c5cfd4cdcad3d17d66608ba24baa4d6eb5",
-    "generate --family balanced-de-bruijn -c 2 -b 2 -k 2": "93a68041fc6a399d8ba34853eb76551966a7c6541aeb3869187e57c018b114de",
+    "generate --family balanced-de-bruijn -c 2 -b 2 -k 2": "b5abdf17a665cbc286520b401f384c7c29c37f3ba95839c286297cd05820854a",
     "generate --family balanced-kautz -c 1 -b 1 -k 2 --format json": "633a204112171abbc9a9ceb392d6469d6821da4b5820ecffc6aabc7c37ceb709",
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002211": "f5361699db0e464985ee52b3ebee1c3f4f60269dd6e78061cc12b14082ff248f",
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002212": "fe26d59a805657c35044e91ea2a8ab5792e71123f912ebe57d99b3e9f7a4f4d6",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import importlib.util
+import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from orthoseq.alphabet import Word, default_alphabet, dna_alphabet
 from orthoseq.circuits import circuit_to_word, find_eulerian_circuit, word_to_circuit
 from orthoseq.constructions import (
     FAMILIES,
+    _field_tables,
     OrthogonalCollectionRequest,
     build_b_circuit,
     combine_closed_walks,
@@ -175,7 +178,8 @@ def test_avoiding_cycles_sigma_four():
         assert avoided not in cycle.vertex_seq()
         # a cycle: every other vertex exactly once
         assert len(set(cycle.vertex_seq())) == 15
-    assert "".join(map(str, word_of(cycles[0]))) == "010203113212233"
+    # the translates of the m-sequence x_n = x_(n-1) + 2 x_(n-2) over GF(4), in order
+    assert ["".join(map(str, word_of(c))) for c in cycles] == CYCLES_4
 
 
 def test_avoiding_cycles_translate_structure():
@@ -197,6 +201,67 @@ def test_avoiding_cycles_binary_order_one():
 def test_avoiding_cycles_need_prime_power(k):
     with pytest.raises(NotPrimePower):
         find_arc_disjoint_avoiding_cycles(6, k)
+
+
+FIELD_ORDERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+                16: (2, 4), 25: (5, 2), 27: (3, 3)}
+
+
+def digitwise_sum(a: int, b: int, p: int) -> int:
+    out, place = 0, 1
+    while a or b:
+        out += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_ORDERS))
+def test_field_tables_are_a_field_with_digitwise_addition(q):
+    p, m = FIELD_ORDERS[q]
+    add, mul = _field_tables(p, m)
+    elements = range(q)
+    assert all(add[a][b] == digitwise_sum(a, b, p) for a in elements for b in elements)
+    for table in (add, mul):
+        assert all(table[a][b] == table[b][a] for a in elements for b in elements)
+        assert all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in elements for b in elements for c in elements
+        )
+    assert all(mul[1][a] == a and add[0][a] == a for a in elements)
+    assert all(
+        mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a in elements for b in elements for c in elements
+    )
+    assert all(1 in mul[a] for a in range(1, q))  # every nonzero element has an inverse
+
+
+@pytest.mark.parametrize(
+    "q,k",
+    [(2, 1), (3, 2), (4, 3), (7, 2), (8, 2), (9, 2), (7, 3), (8, 3), (4, 5), (2, 10), (16, 2)],
+)
+def test_avoiding_cycles_are_translates_of_one_m_sequence(q, k):
+    p = FIELD_ORDERS[q][0]
+    cycles = find_arc_disjoint_avoiding_cycles(q, k)
+    assert len(cycles) == q
+    assert are_arc_disjoint(cycles).holds
+    g = cycles[0].graph
+    base = word_of(cycles[0])
+    for t, cycle in enumerate(cycles):
+        assert word_of(cycle) == tuple(digitwise_sum(s, t, p) for s in base)
+        visits = [g.vertex_labels[v] for v in cycle.vertex_seq()]
+        assert sorted(visits) == sorted(set(itertools.product(range(q), repeat=k)) - {(t,) * k})
+
+
+@pytest.mark.parametrize("c,b,k", [(3, 2, 2), (2, 4, 2), (3, 3, 2), (4, 4, 2), (2, 3, 3)])
+def test_balanced_de_bruijn_on_alphabets_the_search_could_not_reach(c, b, k):
+    # sigma = 7, 8, 9, 16 at k = 2 and sigma = 7 at k = 3
+    start = time.perf_counter()
+    result = construct_orthogonal_balanced_de_bruijn(c, b, k)
+    assert time.perf_counter() - start < 1.0
+    assert all(r.holds for r in result.certificate)
+    assert len(result.words) == c
+    for word in result.words:
+        assert is_b_balanced(word, sigma=result.sigma, k=k, b=b).holds
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,12 @@ constructions (who points at whom, and which vertices are unbalanced).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from orthoseq.alphabet import LanguageSpec, dna_alphabet, expand_language
+from orthoseq.circuits import circuit_to_word, word_to_circuit
 from orthoseq.errors import ParameterOutOfRange
 from orthoseq.graphs import (
     build_de_bruijn_graph,
@@ -41,6 +44,37 @@ def test_de_bruijn_graph_counts(sigma, k):
         assert g.out_degree(v) == sigma
     assert len(g.loops()) == sigma
     assert g.is_strongly_connected_on_support()
+
+
+@pytest.mark.parametrize(
+    "sigma,k", [(sigma, k) for sigma in range(2, 6) for k in range(1, 5)]
+)
+def test_arithmetic_de_bruijn_graph_equals_the_generic_build(sigma, k):
+    fast = build_de_bruijn_graph(sigma, k)
+    generic = build_restricted_graph(
+        itertools.product(range(sigma), repeat=k), kind="de_bruijn", sigma=sigma
+    )
+    for attr in ("vertex_labels", "vertex_index", "arcs", "in_arcs", "out_arcs", "signature",
+                 "kind", "sigma", "k"):
+        assert getattr(fast, attr) == getattr(generic, attr), attr
+    assert fast.full_de_bruijn and not generic.full_de_bruijn
+    assert all(a.id == sum(s * sigma**i for i, s in enumerate(reversed(fast.arc_word(a.id))))
+               for a in fast.arcs)
+
+
+def test_partial_language_named_de_bruijn_takes_the_lookup_path():
+    # the kind string alone must not switch on arithmetic arc ids
+    language = [w for w in itertools.product(range(3), repeat=2) if w != (0, 1)]
+    g = build_restricted_graph(language, kind="de_bruijn", sigma=3)
+    assert not g.full_de_bruijn
+    assert g.arc_id_of_word((0, 2)) == 1  # not its base-3 value, 2
+    word = (0, 0, 2, 1, 1, 2, 2, 1, 0)
+    circuit = word_to_circuit(word, g)
+    windows = [word[t - 1 : t + 1] if t else (word[-1], word[0]) for t in range(len(word))]
+    assert circuit.arc_seq == tuple(map(g.arc_id_of_word, windows))
+    assert circuit_to_word(circuit).entries == word
+    with pytest.raises(ParameterOutOfRange, match=r"window \(0, 1\) is not an arc"):
+        word_to_circuit((0, 1, 1), g)
 
 
 def test_degree_sums_match_arc_count():

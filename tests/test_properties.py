@@ -11,15 +11,19 @@ Invariants checked on randomized inputs:
 * the memoized matching search returns the brute-force first matching
 * a circuit survives a split/merge round trip through any of its wirings
 * the digit bijection between one big alphabet and a pair of factors is
-  invertible entrywise
+  invertible entrywise, and the stream join equals its symbol-by-symbol loop
+* arithmetic arc ids on the full de Bruijn graph equal the word lookup, for
+  wrapping words and out-of-range symbols too
 * vertex partitions are balanced and exhaustive
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orthoseq.circuits import (
@@ -34,7 +38,8 @@ from orthoseq.circuits import (
     word_to_circuit,
 )
 from orthoseq.constructions import construct_l_orthogonal_de_bruijn, partition_vertices
-from orthoseq.graphs import build_de_bruijn_graph, mixed_radix_join
+from orthoseq.errors import ParameterOutOfRange
+from orthoseq.graphs import build_de_bruijn_graph, build_restricted_graph, mixed_radix_join
 from orthoseq.verify import (
     are_compatible,
     circular_window_counts,
@@ -156,6 +161,61 @@ def test_digit_bijection_round_trip(entries, sigma2):
     hi = tuple(e // sigma2 for e in entries)
     lo = tuple(e % sigma2 for e in entries)
     assert mixed_radix_join([hi, lo], [12 // sigma2 + 1, sigma2]) == tuple(entries)
+
+
+def join_by_loop(streams, radices):
+    """Position t of the lcm-length stream, one symbol at a time."""
+    lengths = [len(s) for s in streams]
+    out = []
+    for t in range(math.lcm(*lengths)):
+        val = 0
+        for s, n, r in zip(streams, lengths, radices):
+            val = val * r + s[t % n]
+        out.append(val)
+    return tuple(out)
+
+
+@given(
+    radices=st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3),
+    lengths=st.sampled_from([(3,), (4, 4), (2, 3), (3, 4, 5), (5, 5, 5), (4, 9)]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_mixed_radix_join_matches_the_symbol_loop(radices, lengths, data):
+    streams = [
+        tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+        for r, n in zip(radices, lengths)
+    ]
+    assert mixed_radix_join(streams, radices) == join_by_loop(streams, radices)
+
+
+@given(
+    sigma=st.integers(min_value=2, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_arc_ids_match_the_word_lookup(sigma, k, data):
+    # words shorter than k - 1 wrap more than once; k = 1 has no wrap at all
+    fast = build_de_bruijn_graph(sigma, k)
+    lookup = build_restricted_graph(
+        itertools.product(range(sigma), repeat=k), kind="de_bruijn", sigma=sigma
+    )
+    word = data.draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=12))
+    bad = data.draw(st.one_of(st.none(), st.sampled_from([-1, sigma, sigma + 3])))
+    if bad is not None:
+        word.insert(data.draw(st.integers(0, len(word))), bad)
+    if bad is None:
+        circuit = word_to_circuit(word, fast)
+        assert circuit.arc_seq == word_to_circuit(word, lookup).arc_seq
+        assert word_of(circuit) == tuple(word)
+        return
+    messages = []
+    for graph in (fast, lookup):
+        with pytest.raises(ParameterOutOfRange) as raised:
+            word_to_circuit(word, graph)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 @given(sigma=st.integers(min_value=2, max_value=4), ell=st.integers(min_value=1, max_value=9))

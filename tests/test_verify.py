@@ -248,6 +248,11 @@ def test_enumerate_respects_guard():
         enumerate_db_words(language, max_results=5)
 
 
+def test_exact_max_orthogonal_runs_past_the_recursion_limit():
+    # one 2047-step cycle search: deeper than Python's default recursion limit
+    assert exact_max_orthogonal(2, 11) == 1
+
+
 def test_exact_max_orthogonal_small_table():
     assert exact_max_orthogonal(2, 3, 1) == 1
     assert exact_max_orthogonal(3, 2, 1) == 2
