@@ -20,11 +20,8 @@ from .alphabet import (
 )
 from .circuits import (
     Circuit,
-    TransitionSystem,
     Wiring,
-    circuit_from_transition_system,
     circuit_to_word,
-    eulerian_from_hamiltonian,
     find_eulerian_circuit,
     hamiltonian_from_eulerian,
     merge_circuit,
@@ -32,7 +29,6 @@ from .circuits import (
     rewire_given,
     rewire_vertex_set,
     split_vertices,
-    transition_system_of,
     wiring_of,
     word_to_circuit,
 )
@@ -61,7 +57,6 @@ from .errors import (
     DegreeMismatch,
     GuardExceeded,
     InsufficientDegree,
-    MultipleCycles,
     NotConnected,
     NotCoprime,
     NotPrimePower,

@@ -16,7 +16,6 @@ from .alphabet import Word, as_entries
 from .errors import (
     DegreeMismatch,
     InsufficientDegree,
-    MultipleCycles,
     NotConnected,
     ParameterOutOfRange,
     SearchExhausted,
@@ -96,7 +95,7 @@ def word_to_circuit(word, graph: DirectedMultigraph) -> Circuit:
 
 
 # ----------------------------------------------------------------------
-# wirings and transition systems
+# wirings
 
 
 @dataclass(frozen=True)
@@ -122,58 +121,6 @@ def wiring_of(vertex: int, circuit: Circuit) -> Wiring:
             f"circuit does not traverse every arc at vertex {vertex} exactly once"
         )
     return Wiring(vertex, frozenset(pairs))
-
-
-@dataclass(frozen=True)
-class TransitionSystem:
-    """One wiring per arc-carrying vertex."""
-
-    graph: DirectedMultigraph
-    wirings: tuple[Wiring, ...]  # indexed by vertex, arcless vertices included
-
-    def successor_map(self) -> list[int]:
-        succ = [-1] * self.graph.num_arcs
-        for w in self.wirings:
-            for i, o in w.pairs:
-                succ[i] = o
-        return succ
-
-
-def transition_system_of(circuit: Circuit) -> TransitionSystem:
-    g = circuit.graph
-    ws = tuple(
-        wiring_of(v, circuit) if g.in_arcs[v] else Wiring(v, frozenset())
-        for v in range(g.num_vertices)
-    )
-    return TransitionSystem(g, ws)
-
-
-def circuit_from_transition_system(ts: TransitionSystem) -> Circuit:
-    """Follow the successor permutation; error unless it is one full cycle."""
-    g = ts.graph
-    succ = ts.successor_map()
-    if any(s < 0 for s in succ):
-        raise ParameterOutOfRange("transition system does not cover every arc")
-    # count orbits of the permutation
-    seen = [False] * g.num_arcs
-    count = 0
-    first_cycle: list[int] = []
-    for start in range(g.num_arcs):
-        if seen[start]:
-            continue
-        count += 1
-        cur = start
-        cycle = []
-        while not seen[cur]:
-            seen[cur] = True
-            cycle.append(cur)
-            cur = succ[cur]
-        if count == 1:
-            first_cycle = cycle
-    if count != 1:
-        raise MultipleCycles(count)
-    # successor order walks head-to-tail, so the cycle is already a walk
-    return Circuit(g, tuple(first_cycle)).canonical()
 
 
 # ----------------------------------------------------------------------
@@ -472,23 +419,8 @@ def hamiltonian_from_eulerian(circuit: Circuit, lifted: DirectedMultigraph) -> C
     if len(circuit) != g.num_arcs:
         raise ParameterOutOfRange("circuit is not Eulerian")
     seq = circuit.arc_seq
-    n = len(seq)
-    out = []
-    for i in range(n):
-        w = g.arc_word(seq[i]) + (g.arcs[seq[(i + 1) % n]].symbol,)
-        out.append(lifted.arc_id_of_word(w))
-    ham = Circuit(lifted, tuple(out))
+    words = (g.arc_word(a) + (g.arcs[b].symbol,) for a, b in zip(seq, seq[1:] + seq[:1]))
+    ham = Circuit(lifted, tuple(map(lifted.arc_id_of_word, words)))
     if len(set(ham.vertex_seq())) != lifted.num_vertices:
         raise ParameterOutOfRange("lift did not visit every vertex once")
     return ham
-
-
-def eulerian_from_hamiltonian(circuit: Circuit, original: DirectedMultigraph) -> Circuit:
-    """Inverse lift: visited (k+1)-graph vertices are the traversed k-arcs."""
-    g = circuit.graph
-    if g.k != (original.k or 0) + 1:
-        raise ParameterOutOfRange("graphs are not consecutive orders")
-    seq = tuple(
-        original.arc_id_of_word(g.vertex_labels[v]) for v in circuit.vertex_seq()
-    )
-    return Circuit(original, seq)

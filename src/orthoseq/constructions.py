@@ -426,16 +426,16 @@ def construct_orthogonal_balanced_de_bruijn(
             components.append(_prime_power_component(p ** (x + y), p**x, p**y, k, prov))
         if rem > 1:
             g = build_de_bruijn_graph(rem, k + 1)
-            components.append((rem, [find_eulerian_circuit(g)], rem))
+            components.append((rem, [find_eulerian_circuit(g)]))
             prov.append(f"factor {rem}: Eulerian circuit of the order-{k + 1} graph")
     else:
         sigma = smallest_prime_power_geq(cb)
         components = [_prime_power_component(sigma, c, b, k, prov)]
     alphabet = _fit_alphabet(alphabet, sigma)
-    sigmas = [comp[0] for comp in components]
+    sigmas = [s for s, _ in components]
     if math.prod(sigmas) != sigma:
         raise CertificationError("factor alphabets do not multiply out")
-    streams = [[tuple(circuit_to_word(w)) for w in comp[1]] for comp in components]
+    streams = [[tuple(circuit_to_word(w)) for w in walks] for _, walks in components]
     combo_words = [
         Word(mixed_radix_join(choice, sigmas), circular=True)
         for choice in itertools.product(*streams)
@@ -454,13 +454,13 @@ def construct_orthogonal_balanced_de_bruijn(
 
 def _prime_power_component(
     sigma: int, c: int, b: int, k: int, prov: list[str]
-) -> tuple[int, list[Circuit], int]:
+) -> tuple[int, list[Circuit]]:
     """c arc-disjoint b-circuits on the order-(k+1) graph over a prime-power
     alphabet, from grouped avoiding cycles."""
     cycles = find_arc_disjoint_avoiding_cycles(sigma, k)
     walks = [build_b_circuit(tau, b, cycles) for tau in range(c)]
     prov.append(f"factor {sigma}: {c} groups of {b} avoiding cycles with loop transitions")
-    return (sigma, walks, b)
+    return sigma, walks
 
 
 def construct_orthogonal_balanced_kautz(

@@ -40,14 +40,6 @@ class NotConnected(OrthoseqError):
     """The arc-carrying vertices are not strongly connected."""
 
 
-class MultipleCycles(OrthoseqError):
-    """A transition system decomposes the arcs into more than one cycle."""
-
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"transition system induces {count} cycles, expected 1")
-
-
 class InsufficientDegree(OrthoseqError):
     """Rewiring requires degree >= 3 at the chosen vertex."""
 

@@ -82,9 +82,6 @@ class DirectedMultigraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_arcs[v])
 
-    def loops(self) -> list[int]:
-        return [a.id for a in self.arcs if a.tail == a.head]
-
     def arc_word(self, arc_id: int) -> tuple[int, ...]:
         """The k-word an arc stands for (word graphs only)."""
         if self.kind == "split":
@@ -94,12 +91,18 @@ class DirectedMultigraph:
         return tuple(tail_lab) + (a.symbol,)
 
     def arc_id_of_word(self, entries: Sequence[int]) -> int:
-        """Inverse of :meth:`arc_word`; built lazily."""
+        """Inverse of :meth:`arc_word`: the word's base-sigma value on a full de
+        Bruijn graph, otherwise a lookup built lazily.  KeyError for a non-word."""
+        word = tuple(entries)
+        if self.full_de_bruijn:  # `in range` compares by ==, as the lookup's keys do
+            if len(word) != self.k or not all(s in range(self.sigma) for s in word):
+                raise KeyError(word)
+            return int(mixed_radix_join([(s,) for s in word], [self.sigma] * self.k)[0])
         cache = getattr(self, "_word_to_arc", None)
         if cache is None:
             cache = {self.arc_word(a.id): a.id for a in self.arcs}
             self._word_to_arc = cache
-        return cache[tuple(entries)]
+        return cache[word]
 
     @property
     def signature(self) -> str:

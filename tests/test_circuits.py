@@ -1,7 +1,7 @@
 """Eulerian circuit machinery tests.
 
 Covers the deterministic circuit finder, the word/circuit correspondence,
-wirings and transition systems, rewiring (plain and with forbidden wirings),
+wirings, rewiring (plain and with forbidden wirings),
 vertex splitting with merge, and the Hamiltonian lift between consecutive
 graph orders.  Expected words are frozen outputs of the deterministic
 algorithms, cross-checked by the oracles.
@@ -14,11 +14,8 @@ import pytest
 from orthoseq.alphabet import dna_alphabet
 from orthoseq.circuits import (
     Circuit,
-    TransitionSystem,
     Wiring,
-    circuit_from_transition_system,
     circuit_to_word,
-    eulerian_from_hamiltonian,
     find_eulerian_circuit,
     hamiltonian_from_eulerian,
     merge_circuit,
@@ -26,14 +23,12 @@ from orthoseq.circuits import (
     rewire_given,
     rewire_vertex_set,
     split_vertices,
-    transition_system_of,
     word_to_circuit,
     wiring_of,
 )
 from orthoseq.errors import (
     DegreeMismatch,
     InsufficientDegree,
-    MultipleCycles,
     NotConnected,
     ParameterOutOfRange,
     TooManyForbidden,
@@ -117,7 +112,7 @@ def test_circuit_canonical_ignores_rotation():
 
 
 # ----------------------------------------------------------------------
-# wirings and transition systems
+# wirings
 
 
 def test_wiring_pairs_of_known_circuit():
@@ -131,29 +126,6 @@ def test_wiring_pairs_of_known_circuit():
     assert wiring.pairs == frozenset(
         {(arc("10"), arc("01")), (arc("20"), arc("00")), (arc("00"), arc("02"))}
     )
-
-
-def test_transition_system_round_trip():
-    g = build_de_bruijn_graph(3, 2)
-    circuit = find_eulerian_circuit(g)
-    rebuilt = circuit_from_transition_system(transition_system_of(circuit))
-    assert rebuilt.canonical() == circuit.canonical()
-
-
-def test_transition_system_with_two_orbits_is_rejected():
-    g = build_de_bruijn_graph(2, 2)
-
-    def arc(text: str) -> int:
-        return g.arc_id_of_word(digits(text))
-
-    # 00 closes on itself, the other three arcs form a second cycle
-    wirings = (
-        Wiring(g.vertex_index[(0,)], frozenset({(arc("00"), arc("00")), (arc("10"), arc("01"))})),
-        Wiring(g.vertex_index[(1,)], frozenset({(arc("01"), arc("11")), (arc("11"), arc("10"))})),
-    )
-    with pytest.raises(MultipleCycles) as info:
-        circuit_from_transition_system(TransitionSystem(g, wirings))
-    assert info.value.count == 2
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +303,10 @@ def test_hamiltonian_lift_round_trip():
     ham = hamiltonian_from_eulerian(euler, g3)
     seen = ham.vertex_seq()
     assert len(seen) == len(set(seen)) == g3.num_vertices
-    back = eulerian_from_hamiltonian(ham, g2)
-    assert back.canonical() == euler.canonical()
+    # each traversed order-2 arc becomes the visited order-3 vertex, in order
+    assert [g3.vertex_labels[v] for v in seen] == [g2.arc_word(a) for a in euler.arc_seq]
+    word = circuit_to_word(euler).entries
+    assert circuit_to_word(ham).entries == word[1:] + word[:1]
 
 
 def test_kautz_word_lifts_to_known_vertex_cycle():

@@ -150,12 +150,25 @@ def test_any_other_exception_is_three(capsys, monkeypatch, error):
             ["--family", "fixed-weight-kautz", "--dna", "-k", "3", "--band", "1", "2"],
             ["--property", "fixed-weight-kautz", "--dna", "-k", "3", "--band", "1", "2"],
         ),
+        (
+            ["--family", "balanced-kautz", "-c", "1", "-b", "2", "-k", "2"],
+            ["--property", "balanced-kautz", "--sigma", "5", "-k", "2", "-b", "2", "--ell", "1"],
+        ),
+        (
+            ["--family", "fixed-weight-de-bruijn", "--dna", "-k", "3", "--weight", "2"],
+            ["--property", "fixed-weight", "--dna", "-k", "3", "--weight", "2", "--ell", "1"],
+        ),
     ],
 )
 def test_generated_collections_verify(capsys, tmp_path, gen, ver):
     out_file = tmp_path / "words.txt"
     assert main(["generate", *gen, "-o", str(out_file)]) == 0
     assert main(["verify", *ver, "--words-file", str(out_file)]) == 0
+    # one symbol of the first word changed to another symbol of that word
+    text = out_file.read_text()
+    other = min(set(text.split()[0]) - {text[0]})
+    out_file.write_text(other + text[1:])
+    assert main(["verify", *ver, "--words-file", str(out_file)]) == 1
     capsys.readouterr()
 
 

@@ -42,7 +42,7 @@ def test_de_bruijn_graph_counts(sigma, k):
     for v in range(g.num_vertices):
         assert g.in_degree(v) == sigma
         assert g.out_degree(v) == sigma
-    assert len(g.loops()) == sigma
+    assert sum(a.tail == a.head for a in g.arcs) == sigma
     assert g.is_strongly_connected_on_support()
 
 
@@ -85,11 +85,22 @@ def test_degree_sums_match_arc_count():
 
 def test_arc_words_are_windows():
     g = build_de_bruijn_graph(3, 2)
+    generic = build_restricted_graph(
+        itertools.product(range(3), repeat=2), kind="de_bruijn", sigma=3
+    )
     for a in g.arcs:
         word = g.arc_word(a.id)
         assert g.vertex_labels[a.tail] == word[:-1]
         assert g.vertex_labels[a.head] == word[1:]
-        assert g.arc_id_of_word(word) == a.id
+        assert g.arc_id_of_word(word) == generic.arc_id_of_word(word) == a.id
+    # not arc words: wrong length, a symbol out of range, a symbol of another type
+    for word in [(), (0,), (0, 1, 2), (0, 3), (-1, 0), (0, "1"), (None, 0), (0, 0.5)]:
+        for graph in (g, generic):
+            with pytest.raises(KeyError):
+                graph.arc_id_of_word(word)
+    # symbols equal to ints are keys of the lookup, so they are accepted on both
+    assert g.arc_id_of_word((True, 2.0)) == generic.arc_id_of_word((True, 2.0)) == 5
+    assert not hasattr(g, "_word_to_arc")
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +112,7 @@ def test_kautz_graph_counts(sigma, k):
     g = build_kautz_graph(sigma, k)
     assert g.num_vertices == sigma * (sigma - 1) ** (k - 2)
     assert g.num_arcs == sigma * (sigma - 1) ** (k - 1)
-    assert not g.loops()
+    assert not any(a.tail == a.head for a in g.arcs)
     for v in range(g.num_vertices):
         assert g.in_degree(v) == sigma - 1
         assert g.out_degree(v) == sigma - 1

@@ -209,13 +209,24 @@ def test_arithmetic_arc_ids_match_the_word_lookup(sigma, k, data):
         circuit = word_to_circuit(word, fast)
         assert circuit.arc_seq == word_to_circuit(word, lookup).arc_seq
         assert word_of(circuit) == tuple(word)
-        return
-    messages = []
-    for graph in (fast, lookup):
-        with pytest.raises(ParameterOutOfRange) as raised:
-            word_to_circuit(word, graph)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    else:
+        messages = []
+        for graph in (fast, lookup):
+            with pytest.raises(ParameterOutOfRange) as raised:
+                word_to_circuit(word, graph)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+    # one window on its own: an arc word gets the lookup's id, anything else KeyError
+    window = data.draw(st.lists(st.sampled_from([*range(sigma), -1, sigma, "0", None]),
+                                min_size=k - 1, max_size=k + 1))
+    try:
+        expected = lookup.arc_id_of_word(window)
+    except KeyError:
+        with pytest.raises(KeyError):
+            fast.arc_id_of_word(window)
+    else:
+        assert fast.arc_id_of_word(window) == expected
+    assert not hasattr(fast, "_word_to_arc")
 
 
 @given(sigma=st.integers(min_value=2, max_value=4), ell=st.integers(min_value=1, max_value=9))
