@@ -9,6 +9,7 @@ others, subject to the result still being a single closed walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -161,7 +162,8 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
     if len(out) != graph.num_arcs:
         raise NotConnected("traversal did not reach every arc")
     out.reverse()
-    return Circuit(graph, tuple(out)).canonical()
+    i = out.index(min(out))  # the canonical rotation, built and validated once
+    return Circuit(graph, tuple(out[i:] + out[:i]))
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +174,11 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 # candidate matching is a permutation of segments and is acceptable exactly
 # when that permutation is a single cycle.
 #
+# No search is needed.  With t <= floor(d/2) - 1 forbidden wirings, each of
+# the d segments keeps at least d/2 allowed successors and predecessors, so a
+# single cycle through allowed pairs exists (Ghouila-Houri, 1960), and
+# `_rewire_search` builds one directly.
+#
 # A vertex block is rewired on two plain lists kept in step: the arc ids of
 # the walk and the head vertex of each arc.  The arrivals at v come from one
 # forward pass of C-level `heads.index` calls, a forbidden wiring is read off
@@ -181,72 +188,54 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 
 
 def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
-    """First matching of in-arcs to out-arcs, lexicographic by arc ids, that
-    avoids the `banned` (in, out) pairs and whose segment permutation is a
-    single cycle; None if there is none.
+    """A matching of in-arcs to out-arcs that avoids the `banned` (in, out)
+    pairs and whose segment permutation is a single cycle; None if none is
+    found.
 
     Segment j ends with in-arc ends[j] and begins with out-arc starts[j].  The
     result maps each segment to the one that follows it: succ[j] = t wires
     ends[j] to starts[t].
 
-    The in-arcs are matched in ascending order on an explicit stack.  Once
-    idx of them are matched, the rest of the search depends only on the chain
-    head of each unmatched in-segment (each is the tail of its own chain), so
-    a state whose subtree failed is recorded and skipped when it comes round
-    again.  The key is built only after a failure, and skipping only failed
-    subtrees keeps the first answer.  head/tail give a chain's ends in O(1)
-    and are undone on backtrack.
+    The start is the single cycle succ[j] = j - s (mod d) for s = 1, the
+    reversed segment order, which shares no pair with the old order j + 1
+    when d >= 3.  While the first segment a with a banned successor remains,
+    take b after a and c after b along the cycle and set succ[a], succ[b],
+    succ[c] = succ[b], succ[c], succ[a], choosing the first such (b, c)
+    whose three new pairs are allowed.  That still visits every segment once
+    and removes the banned pair at a, so at most d rotations run.  If no
+    rotation fits, start again from the next s coprime to d.
     """
     d = len(ends)
-    in_segs = sorted(range(d), key=ends.__getitem__)
-    out_segs = sorted(range(d), key=starts.__getitem__)
-    options = [[t for t in out_segs if (ends[s], starts[t]) not in banned] for s in in_segs]
-    head = list(range(d))  # head[x]: first segment of the chain that x ends
-    tail = list(range(d))  # tail[x]: last segment of the chain that x begins
-    used = [False] * d  # the segment already has a predecessor
-    succ = [-1] * d
-    undo: list = [None] * d  # per depth: (s, t, head of s, tail of t)
-    nxt = [0] * d  # per depth: the next option to try
-    failed: set = set()  # the states whose subtree failed
 
-    def state(idx: int) -> tuple:  # chain heads of the unmatched in-segments
-        return tuple(map(head.__getitem__, in_segs[idx:]))
+    def allowed(x: int, y: int) -> bool:  # segment y may follow segment x
+        return (ends[x], starts[y]) not in banned
 
-    idx = 0
-    while True:
-        s = in_segs[idx]
-        hs = head[s]
-        opts = options[idx]
-        t = -1
-        if nxt[idx] or not failed or state(idx) not in failed:
-            closing = idx == d - 1  # only the last match may close the cycle
-            for i in range(nxt[idx], len(opts)):
-                if not used[opts[i]] and (opts[i] != hs or closing):
-                    t = opts[i]
-                    nxt[idx] = i + 1
-                    break
-            else:
-                failed.add(state(idx))
-        if t < 0:
-            if idx == 0:
-                return None
-            idx -= 1
-            s, t, hs, tt = undo[idx]
-            succ[s] = -1
-            used[t] = False
-            head[tt] = t
-            tail[hs] = s
+    for s in range(1, d + 1):
+        if math.gcd(s, d) != 1:
             continue
-        tt = tail[t]
-        undo[idx] = (s, t, hs, tt)
-        succ[s] = t
-        used[t] = True
-        head[tt] = hs
-        tail[hs] = tt
-        idx += 1
-        if idx == d:
-            return succ
-        nxt[idx] = 0
+        succ = [(j - s) % d for j in range(d)]
+        for _ in range(d + 1):  # each rotation removes a banned pair
+            a = next((j for j in range(d) if not allowed(j, succ[j])), None)
+            if a is None:
+                return succ
+            cyc = [a]  # the cycle read from a and back: b = cyc[i], c = cyc[j]
+            for _ in range(d):
+                cyc.append(succ[cyc[-1]])
+            move = next(
+                (
+                    (i, j)
+                    for i in range(1, d - 1)
+                    if allowed(a, cyc[i + 1])
+                    for j in range(i + 1, d)
+                    if allowed(cyc[i], cyc[j + 1]) and allowed(cyc[j], cyc[1])
+                ),
+                None,
+            )
+            if move is None:
+                break
+            i, j = move
+            succ[a], succ[cyc[i]], succ[cyc[j]] = cyc[i + 1], cyc[j + 1], cyc[1]
+    return None
 
 
 def _splice(seq: list[int], heads: list[int], arrivals: list[int], succ: list[int]):
@@ -281,8 +270,8 @@ def _successors(circuit: Circuit) -> dict[int, int]:
 def rewire(vertex: int, circuit: Circuit) -> Circuit:
     """New circuit whose wiring at `vertex` shares no pair with the old one.
 
-    Requires degree >= 3 at the vertex (counting a loop once); degree 2 is
-    rejected without searching.
+    Requires degree >= 3 at the vertex (counting a loop once); at degree 3
+    the only answer is the reversed segment order.
     """
     return rewire_vertex_set((vertex,), circuit)
 

@@ -410,10 +410,7 @@ def construct_orthogonal_balanced_de_bruijn(
     cb = c * b
     c_fac = factorize(c)
     prov: list[str] = []
-    if is_prime_power(cb):
-        sigma = cb
-        components = [_prime_power_component(sigma, c, b, k, prov)]
-    elif all(b % p == 0 for p in c_fac):
+    if all(b % p == 0 for p in c_fac):
         sigma = cb
         components = []
         rem = b

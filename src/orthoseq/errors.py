@@ -49,7 +49,7 @@ class TooManyForbidden(OrthoseqError):
 
 
 class SearchExhausted(OrthoseqError):
-    """A backtracking search ran out of candidates."""
+    """A construction found no acceptable rewiring from any of its starts."""
 
 
 class NotPrimePower(OrthoseqError):

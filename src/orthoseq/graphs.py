@@ -102,7 +102,10 @@ class DirectedMultigraph:
         if cache is None:
             cache = {self.arc_word(a.id): a.id for a in self.arcs}
             self._word_to_arc = cache
-        return cache[word]
+        try:
+            return cache[word]
+        except TypeError:  # an unhashable symbol: no word either
+            raise KeyError(word) from None
 
     @property
     def signature(self) -> str:

@@ -103,6 +103,15 @@ def test_word_to_circuit_rejects_foreign_window():
         word_to_circuit((0, 0, 1), build_kautz_graph(3, 2))
 
 
+def test_word_to_circuit_rejects_an_unhashable_symbol():
+    # the Kautz graph looks windows up in a dict; the de Bruijn graph computes ids
+    for graph in (build_kautz_graph(3, 2), build_de_bruijn_graph(3, 2)):
+        with pytest.raises(KeyError):
+            graph.arc_id_of_word(([0], 1))
+        with pytest.raises(ParameterOutOfRange):
+            word_to_circuit([[0], 1, 2], graph)
+
+
 def test_circuit_canonical_ignores_rotation():
     g = build_de_bruijn_graph(3, 2)
     a = word_to_circuit(digits("012002211"), g)
@@ -147,6 +156,21 @@ def test_rewire_changes_only_the_chosen_vertex():
         rewired = rewire(v, circuit)
         assert_rewired_at(v, circuit, rewired)
         assert is_de_bruijn(word_of(rewired), sigma=3, k=2).holds
+
+
+@pytest.mark.parametrize("graph", [build_de_bruijn_graph(3, 2), build_kautz_graph(4, 2)])
+def test_degree_three_rewire_reverses_the_segment_order(graph):
+    # of the two single cycles on three segments, only the reversed order
+    # shares no pair with the old one, so it is the unique answer
+    circuit = find_eulerian_circuit(graph)
+    for v in range(graph.num_vertices):
+        seq = circuit.arc_seq
+        cut = max(p for p, a in enumerate(seq) if graph.arcs[a].head == v) + 1
+        seq = seq[cut:] + seq[:cut]  # the walk now ends on its last arrival at v
+        i, j, _ = [p + 1 for p, a in enumerate(seq) if graph.arcs[a].head == v]
+        s0, s1, s2 = seq[:i], seq[i:j], seq[j:]
+        expected = Circuit(graph, s0 + s2 + s1).canonical()
+        assert rewire(v, circuit).canonical() == expected
 
 
 def test_rewire_needs_degree_three():

@@ -60,14 +60,14 @@ GOLDEN = {
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format json": "7d9279f7f5b35bc520a16396dc7a3ea53dc2dc9226e25ef8f80fd39850aa9d77",
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format csv": "f3a136eb55e7c25ee0add57a30c78abb92b7b1fb2ee2d8096313490aa2a98da9",
     "generate --family balanced-kautz -c 2 -b 1 -k 2 --format fasta": "252902568b35bd0d66c8df478b9ca1bde54535c435308d449ac35f18b546018b",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format text": "d3870749baccb5d83919de23df18a3be3828702e0b5e4828e50d3ca5c8acd499",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format json": "6a1fec6fe1ff08aa764aaa3353941026e3ef9e927ab9bff9b0762f66c84dcc8f",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format csv": "66c6ee32c1b87fbc8f3f1f250020a9cc2a426fc8e17b9e0480cc5c39a5cf1c14",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format fasta": "585a232459c05d409d06464e5e6d7fe0833b6a59cdbf18e83174416ee024d892",
-    "generate --family fw-db --dna -k 4 --weight 3 --format text": "d3870749baccb5d83919de23df18a3be3828702e0b5e4828e50d3ca5c8acd499",
-    "generate --family fw-db --dna -k 4 --weight 3 --format json": "6a1fec6fe1ff08aa764aaa3353941026e3ef9e927ab9bff9b0762f66c84dcc8f",
-    "generate --family fw-db --dna -k 4 --weight 3 --format csv": "66c6ee32c1b87fbc8f3f1f250020a9cc2a426fc8e17b9e0480cc5c39a5cf1c14",
-    "generate --family fw-db --dna -k 4 --weight 3 --format fasta": "585a232459c05d409d06464e5e6d7fe0833b6a59cdbf18e83174416ee024d892",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format text": "ca962fc72567e256828562228a1ab49772c559c5d392a0af5fa311a0a88bcbce",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format json": "e8aec8564ae26fffe98f850735a66b90245bc22d5b15aeb911477545b07c1682",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format csv": "7151010d7e4455b05204b9062555e6c905910b30ad7d5a614daaef47522ea93e",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format fasta": "020d7f3c42fb46bbb7bb1b9d625e3be8b0b6664eebab54f928becffcf9e5fad8",
+    "generate --family fw-db --dna -k 4 --weight 3 --format text": "ca962fc72567e256828562228a1ab49772c559c5d392a0af5fa311a0a88bcbce",
+    "generate --family fw-db --dna -k 4 --weight 3 --format json": "e8aec8564ae26fffe98f850735a66b90245bc22d5b15aeb911477545b07c1682",
+    "generate --family fw-db --dna -k 4 --weight 3 --format csv": "7151010d7e4455b05204b9062555e6c905910b30ad7d5a614daaef47522ea93e",
+    "generate --family fw-db --dna -k 4 --weight 3 --format fasta": "020d7f3c42fb46bbb7bb1b9d625e3be8b0b6664eebab54f928becffcf9e5fad8",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format text": "aafbb9b8333ce7b89e70f0ffb1699c66f4c7a436fc1c7ef33f010bef83a95bc3",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format json": "1b3fe3160650d2d8ce50a635b088082f070d9837dd617fcacd1b73edbe1c44aa",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format csv": "a12796acaa3c82a88d97317fa2e908a099ff5c5a5a5dae272069a7d7d0ba9a3c",

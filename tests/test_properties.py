@@ -8,7 +8,8 @@ Invariants checked on randomized inputs:
 * the two compatibility routes agree: wiring disjointness of the circuits
   versus window counting on their words
 * rewiring changes exactly the chosen vertex and preserves the circuit
-* the memoized matching search returns the brute-force first matching
+* the matching construction, under the bans rewiring hands it, returns one
+  cycle through the segments that avoids every ban
 * a circuit survives a split/merge round trip through any of its wirings
 * the digit bijection between one big alphabet and a pair of factors is
   invertible entrywise, and the stream join equals its symbol-by-symbol loop
@@ -24,7 +25,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthoseq.circuits import (
     _rewire_search,
@@ -253,58 +254,75 @@ def test_word_circuit_round_trip_at_any_phase(rotation):
 
 
 # ----------------------------------------------------------------------
-# the memoized matching search against brute force
+# the matching construction under the bans rewiring hands it
 
 
-def first_matching_by_brute_force(ends, starts, banned):
-    """The first in-arc -> out-arc matching, in lexicographic order of the
-    out-arcs given to the ascending in-arcs, that avoids `banned` and chains
-    the segments into one cycle; None if there is none."""
+def disjoint_matchings(rnd, d: int, t: int) -> set:
+    """t pairwise-disjoint perfect matchings of range(d) onto range(d), each
+    found by augmenting paths among the pairs the earlier ones left free.
+    After r matchings those form a (d - r)-regular bipartite graph, so the
+    next matching exists (König)."""
+    used: set = set()
+    for _ in range(t):
+        match: dict = {}  # right -> left
+
+        def augment(i: int, seen: set) -> bool:
+            for j in rnd.sample(range(d), d):
+                if (i, j) not in used and j not in seen:
+                    seen.add(j)
+                    if j not in match or augment(match[j], seen):
+                        match[j] = i
+                        return True
+            return False
+
+        for i in rnd.sample(range(d), d):
+            assert augment(i, set())
+        used |= {(i, j) for j, i in match.items()}
+    return used
+
+
+def has_single_cycle(ends, starts, banned) -> bool:
+    """Brute force: some order of the segments, read as a cycle, uses no
+    banned pair."""
     d = len(ends)
-    seg_of_out = {o: t for t, o in enumerate(starts)}
-    in_order = sorted(range(d), key=ends.__getitem__)
-    for outs in itertools.permutations(sorted(starts)):
-        succ = [0] * d
-        for s, o in zip(in_order, outs):
-            succ[s] = seg_of_out[o]
-        if any((ends[s], starts[succ[s]]) in banned for s in range(d)):
-            continue
-        t, length = succ[0], 1
-        while t != 0:
-            t, length = succ[t], length + 1
-        if length == d:
-            return dict(zip(ends, (starts[succ[s]] for s in range(d))))
-    return None
+    for rest in itertools.permutations(range(1, d)):
+        order = (0,) + rest
+        if all((ends[x], starts[y]) not in banned for x, y in zip(order, order[1:] + order[:1])):
+            return True
+    return False
 
 
 @st.composite
 def segment_layouts(draw):
     """Segment j ends with in-arc ends[j] and begins with out-arc starts[j];
-    the two id sets may overlap, as loops make them do.  Dense random bans
-    force the search to backtrack."""
-    d = draw(st.integers(min_value=3, max_value=7))
+    the two id sets may overlap, as loops make them do.  The bans are either
+    the old wiring (segment j + 1 after j), as `rewire` gives them, or
+    t <= d/2 - 1 pairwise-disjoint perfect matchings, as `rewire_given` does."""
+    d = draw(st.integers(min_value=3, max_value=12))
     ids = st.integers(min_value=0, max_value=2 * d)
     ends = draw(st.lists(ids, min_size=d, max_size=d, unique=True))
     starts = draw(st.lists(ids, min_size=d, max_size=d, unique=True))
-    pairs = [(a, b) for a in ends for b in starts]
-    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return ends, starts, {p for p, ban in zip(pairs, mask) if ban}
+    if draw(st.booleans()):
+        return ends, starts, {(ends[j], starts[(j + 1) % d]) for j in range(d)}
+    t = draw(st.integers(min_value=0, max_value=d // 2 - 1))
+    pairs = disjoint_matchings(draw(st.randoms(use_true_random=False)), d, t)
+    assert len(pairs) == t * d
+    return ends, starts, {(ends[i], starts[j]) for i, j in pairs}
 
 
 @given(layout=segment_layouts())
-# each example revisits a failed state, so the memo skips a subtree
-@example(layout=([5, 6, 2, 0], [8, 5, 1, 0], {(2, 8), (6, 8)}))
-@example(layout=([6, 3, 4, 8], [2, 0, 7, 8], {(3, 0), (3, 7), (8, 0), (8, 2), (8, 7)}))
-@example(
-    layout=(
-        [0, 6, 5, 2, 1],
-        [4, 10, 7, 5, 3],
-        {(1, 7), (2, 7), (5, 3), (5, 4), (5, 5), (5, 10), (6, 4), (6, 5)},
-    )
-)
 @settings(max_examples=300, deadline=None)
-def test_matching_search_returns_the_first_matching(layout):
+def test_matching_construction_gives_one_cycle_avoiding_the_bans(layout):
     ends, starts, banned = layout
+    d = len(ends)
     succ = _rewire_search(ends, starts, banned)
-    found = None if succ is None else dict(zip(ends, (starts[t] for t in succ)))
-    assert found == first_matching_by_brute_force(ends, starts, banned)
+    assert succ is not None
+    assert sorted(succ) == list(range(d))
+    seen, j = {0}, succ[0]
+    while j != 0:
+        seen.add(j)
+        j = succ[j]
+    assert len(seen) == d  # one d-cycle
+    assert not any((ends[j], starts[succ[j]]) in banned for j in range(d))
+    if d <= 7:
+        assert has_single_cycle(ends, starts, banned)
