@@ -132,7 +132,9 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
     """Deterministic Hierholzer traversal, canonical rotation.
 
     Raises DegreeMismatch at the first unbalanced vertex (lexicographic order)
-    and NotConnected when the arc-carrying vertices are not strongly connected.
+    and NotConnected when the arc-carrying vertices are not strongly connected:
+    once every vertex is balanced, that is exactly when the traversal from the
+    first arc-carrying vertex misses an arc.
     """
     if graph.num_arcs == 0:
         raise ParameterOutOfRange("graph has no arcs")
@@ -141,8 +143,6 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
             raise DegreeMismatch(
                 graph.vertex_labels[v], graph.in_degree(v), graph.out_degree(v)
             )
-    if not graph.is_strongly_connected_on_support():
-        raise NotConnected("arc-carrying vertices are not strongly connected")
     start = next(v for v in range(graph.num_vertices) if graph.out_arcs[v])
     next_idx = [0] * graph.num_vertices
     vertex_stack = [start]
@@ -160,7 +160,7 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
             if arc_stack:
                 out.append(arc_stack.pop())
     if len(out) != graph.num_arcs:
-        raise NotConnected("traversal did not reach every arc")
+        raise NotConnected("arc-carrying vertices are not strongly connected")
     out.reverse()
     i = out.index(min(out))  # the canonical rotation, built and validated once
     return Circuit(graph, tuple(out[i:] + out[:i]))

@@ -280,7 +280,7 @@ def cmd_verify(args) -> int:
     elif prop == "self-orthogonal":
         reports += [verify_mod.is_self_orthogonal(w, k) for w in words]
     if prop == "orthogonal" or args.ell is not None:
-        reports.append(verify_mod.is_l_orthogonal(words, k, args.ell or 1))
+        reports.append(verify_mod.is_l_orthogonal(words, k, 1 if args.ell is None else args.ell))
 
     if args.format == "json":
         doc = [r.to_json_dict(alphabet) for r in reports]

@@ -38,7 +38,6 @@ from .graphs import (
     DirectedMultigraph,
     build_de_bruijn_graph,
     build_kautz_graph,
-    build_language_graph,
     build_restricted_graph,
     mixed_radix_join,
     tensor_product,
@@ -161,16 +160,18 @@ def partition_vertices(graph: DirectedMultigraph, ell: int) -> list[list[int]]:
     return blocks
 
 
-def _rewiring_family(
-    graph: DirectedMultigraph, ell: int, big_k: int, conditioned: bool
-) -> tuple[list[Circuit], list[str]]:
-    """The ell x K grid of circuits built by group rewiring.
+def _rewiring_family(graph: DirectedMultigraph, ell: int) -> tuple[list[Circuit], list[str]]:
+    """The ell x K grid of circuits built by group rewiring, K = floor(d/2)
+    for the degree d of the regular graph, and K = 2 at d = 3.
 
     Row 1 starts from the Eulerian circuit; each step rewires one vertex
     block of the previous circuit, avoiding the wirings of earlier rows'
-    first columns when `conditioned` (degree >= 4 path).  The last row is
-    conditioned on rows 2..K so the count K stays within the degree budget.
+    first columns when d >= 4 (at d = 3 the budget of floor(d/2) - 1
+    forbidden circuits is 0).  The last row is conditioned on rows 2..K so
+    the count K stays within the degree budget.
     """
+    d = graph.in_degree(0)
+    big_k, conditioned = (2, False) if d == 3 else (d // 2, True)
     fam: dict[tuple[int, int], Circuit] = {}
     prov: list[str] = []
     groups = partition_vertices(graph, ell)
@@ -211,14 +212,13 @@ def construct_l_orthogonal_de_bruijn(
         raise ParameterOutOfRange(f"need 1 <= ell <= sigma^(k-1) = {sigma ** (k - 1)}")
     alphabet = _fit_alphabet(alphabet, sigma)
     graph = build_de_bruijn_graph(sigma, k)
-    big_k = sigma // 2 if sigma >= 4 else 2
-    circuits, prov = _rewiring_family(graph, ell, big_k, conditioned=sigma >= 4)
+    circuits, prov = _rewiring_family(graph, ell)
     words = [circuit_to_word(c) for c in circuits]
     return _certified(
         "de-bruijn", {"sigma": sigma, "k": k, "ell": ell}, alphabet, k, words, circuits,
         [verify.is_de_bruijn(w, sigma, k) for w in words]
         + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)],
-        prov, K=big_k, upper_bound=ell * (sigma - 1),
+        prov, K=len(circuits) // ell, upper_bound=ell * (sigma - 1),
     )
 
 
@@ -234,14 +234,13 @@ def construct_l_orthogonal_kautz(
     if not 1 <= ell <= graph.num_vertices:
         raise ParameterOutOfRange(f"need 1 <= ell <= {graph.num_vertices}")
     alphabet = _fit_alphabet(alphabet, sigma)
-    big_k = max(2, (sigma - 1) // 2)
-    circuits, prov = _rewiring_family(graph, ell, big_k, conditioned=sigma >= 5)
+    circuits, prov = _rewiring_family(graph, ell)
     words = [circuit_to_word(c) for c in circuits]
     return _certified(
         "kautz", {"sigma": sigma, "k": k, "ell": ell}, alphabet, k, words, circuits,
         [verify.is_kautz_word(w, sigma, k) for w in words]
         + [verify.is_l_orthogonal(words, k, ell), verify.are_compatible(circuits, ell)],
-        prov, K=big_k,
+        prov, K=len(circuits) // ell,
     )
 
 
@@ -472,7 +471,7 @@ def construct_orthogonal_balanced_kautz(
     sigma = 2 * c * b + 1
     alphabet = _fit_alphabet(alphabet, sigma)
     graph = build_kautz_graph(sigma, k)
-    family, prov = _rewiring_family(graph, 1, c * b, conditioned=True)
+    family, prov = _rewiring_family(graph, 1)  # c*b circuits at degree 2cb
     lifted = build_kautz_graph(sigma, k + 1)
     hams = [hamiltonian_from_eulerian(cc, lifted) for cc in family]
     walks = [
@@ -504,15 +503,14 @@ def _shift_wiring(graph: DirectedMultigraph, v: int, j: int) -> Wiring:
     return Wiring(v, frozenset((ins[i], outs[(i + j) % d]) for i in range(d)))
 
 
-def _split_circuit_family(
-    graph: DirectedMultigraph, m: int, full_degree: int
-) -> tuple[list[Circuit], list[str]]:
+def _split_circuit_family(graph: DirectedMultigraph, m: int) -> tuple[list[Circuit], list[str]]:
     """m pairwise compatible Eulerian circuits of a graph whose low-degree
     vertices are handled by shift wirings (split, traverse, merge) and whose
-    full-degree vertices are separated by rewiring."""
+    full-degree (maximum-degree) vertices are separated by rewiring."""
     if m == 1:
         return [find_eulerian_circuit(graph)], ["circuit 0: Eulerian circuit"]
     degs = [graph.in_degree(v) for v in range(graph.num_vertices)]
+    full_degree = max(degs)
     split_set = [v for v in range(graph.num_vertices) if degs[v] < full_degree]
     if split_set and m > min(degs[v] for v in split_set):
         raise ParameterOutOfRange("more circuits than disjoint shift wirings")
@@ -547,9 +545,8 @@ def construct_fixed_weight_orthogonal_db(
         raise ParameterOutOfRange(f"need 1 <= w <= k, got w={w}")
     spec = LanguageSpec("full", k, min_weight=w - 1, max_weight=w)
     language = expand_language(spec, alphabet)
-    graph = build_language_graph(spec, alphabet)
-    m = min(n_w, n_x)
-    circuits, prov = _split_circuit_family(graph, m, alphabet.sigma)
+    graph = build_restricted_graph(language, sigma=alphabet.sigma)
+    circuits, prov = _split_circuit_family(graph, min(n_w, n_x))
     words = [circuit_to_word(c) for c in circuits]
     return _certified(
         "fixed-weight-de-bruijn",
@@ -602,10 +599,9 @@ def construct_fixed_weight_kautz_orthogonal(
         degs = [graph.in_degree(v) for v in range(graph.num_vertices)]
         split_degrees = [d for d in degs if d < delta]
         m = min(min(split_degrees, default=delta), delta // 2)
-        m = max(m, 1)
         if k == 2 and not any(d == delta for d in degs):
             m = 1  # no full-degree vertex to rewire at
-    circuits, prov = _split_circuit_family(graph, m, delta)
+    circuits, prov = _split_circuit_family(graph, m)
     words = [circuit_to_word(c) for c in circuits]
     parameters = {
         "k": k, "w_min": w_min, "w_max": w_max, "W": sorted(alphabet.weighted),

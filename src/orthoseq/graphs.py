@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import operator
-from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .alphabet import Alphabet, LanguageSpec, as_entries, expand_language
@@ -128,30 +127,6 @@ class DirectedMultigraph:
             f"<DirectedMultigraph {self.kind} |V|={self.num_vertices} "
             f"|A|={self.num_arcs}>"
         )
-
-    # ------------------------------------------------------------------
-    # connectivity
-
-    def is_strongly_connected_on_support(self) -> bool:
-        """Strong connectivity restricted to vertices that carry arcs."""
-        support = [v for v in range(self.num_vertices) if self.out_arcs[v] or self.in_arcs[v]]
-        if not support:
-            return True
-        start = support[0]
-        for arcs_of in (self.out_arcs, self.in_arcs):
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for aid in arcs_of[v]:
-                    a = self.arcs[aid]
-                    w = a.head if arcs_of is self.out_arcs else a.tail
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if not all(v in seen for v in support):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # export

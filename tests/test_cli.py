@@ -78,6 +78,18 @@ def test_usage_errors_are_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_verify_rejects_a_non_positive_ell(capsys, ell):
+    # 0 is a given --ell, not a missing one
+    code = main(
+        ["verify", "--property", "orthogonal", "--sigma", "3", "-k", "2", "--word", "012",
+         "--ell", ell]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "ell must be >= 1" in captured.err
+
+
 def test_unwritable_or_missing_file_is_two(capsys, tmp_path):
     missing = str(tmp_path / "no-such-dir" / "x")
     code = main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2", "-o", missing])

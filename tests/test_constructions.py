@@ -163,6 +163,22 @@ def test_kautz_family_rejects_bad_parameters():
         construct_l_orthogonal_kautz(4, 1, 1)
 
 
+# The paper's family sizes, K = floor(sigma/2) for de Bruijn (2 at sigma = 3)
+# and K' = max(2, floor((sigma-1)/2)) for Kautz.  The construction reads K off
+# the graph's degree, so this table is the only check on it.
+FAMILY_SIZES = [(construct_l_orthogonal_de_bruijn, sigma, big_k) for sigma, big_k in
+                zip(range(3, 11), (2, 2, 2, 3, 3, 4, 4, 5))]
+FAMILY_SIZES += [(construct_l_orthogonal_kautz, sigma, big_k) for sigma, big_k in
+                 zip(range(4, 11), (2, 2, 2, 3, 3, 4, 4))]
+
+
+@pytest.mark.parametrize("construct_family,sigma,big_k", FAMILY_SIZES)
+def test_family_size_matches_the_paper(construct_family, sigma, big_k):
+    result = construct_family(sigma, 2, 2)
+    assert result.info["K"] == big_k
+    assert len(result.words) == 2 * big_k
+
+
 # ----------------------------------------------------------------------
 # arc-disjoint avoiding cycles
 

@@ -5,6 +5,9 @@ Invariants checked on randomized inputs:
 * window histograms of a circular word always sum to its length and match
   the slicing definition, also for windows longer than the word
 * de Bruijn membership is invariant under rotation and symbol relabeling
+* on a random balanced multigraph the Eulerian traversal raises NotConnected
+  exactly when a reference search finds the support not strongly connected,
+  and otherwise uses every arc once
 * the two compatibility routes agree: wiring disjointness of the circuits
   versus window counting on their words
 * rewiring changes exactly the chosen vertex and preserves the circuit
@@ -39,8 +42,13 @@ from orthoseq.circuits import (
     word_to_circuit,
 )
 from orthoseq.constructions import construct_l_orthogonal_de_bruijn, partition_vertices
-from orthoseq.errors import ParameterOutOfRange
-from orthoseq.graphs import build_de_bruijn_graph, build_restricted_graph, mixed_radix_join
+from orthoseq.errors import NotConnected, ParameterOutOfRange
+from orthoseq.graphs import (
+    DirectedMultigraph,
+    build_de_bruijn_graph,
+    build_restricted_graph,
+    mixed_radix_join,
+)
 from orthoseq.verify import (
     are_compatible,
     circular_window_counts,
@@ -95,6 +103,50 @@ def test_de_bruijn_words_survive_relabeling(sigma, data):
     word = word_of(find_eulerian_circuit(build_de_bruijn_graph(sigma, 2)))
     relabel = data.draw(st.permutations(range(sigma)))
     assert is_de_bruijn(tuple(relabel[s] for s in word), sigma=sigma, k=2).holds
+
+
+def strongly_connected_on_support(graph) -> bool:
+    """Reference: a forward and a backward search from one arc-carrying
+    vertex both reach every arc-carrying vertex."""
+    support = {v for a in graph.arcs for v in (a.tail, a.head)}
+    start = min(support)
+    for step in (lambda a: (a.tail, a.head), lambda a: (a.head, a.tail)):
+        seen, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for a in graph.arcs:
+                x, y = step(a)
+                if x == v and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        if seen != support:
+            return False
+    return True
+
+
+@st.composite
+def balanced_multigraphs(draw):
+    """A union of random closed walks on at most 6 vertices, arcs in random
+    order; vertices no walk visits stay in the graph without arcs."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    walks = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=8),
+        min_size=1, max_size=4,
+    ))
+    specs = [(w[i], w[(i + 1) % len(w)]) for w in walks for i in range(len(w))]
+    specs = draw(st.permutations(specs))
+    return DirectedMultigraph(range(n), [(t, h, i) for i, (t, h) in enumerate(specs)], "test")
+
+
+@given(graph=balanced_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_eulerian_circuit_exactly_when_connected(graph):
+    if not strongly_connected_on_support(graph):
+        with pytest.raises(NotConnected):
+            find_eulerian_circuit(graph)
+        return
+    circuit = find_eulerian_circuit(graph)  # a Circuit checks every transition
+    assert sorted(circuit.arc_seq) == list(range(graph.num_arcs))
 
 
 @given(
