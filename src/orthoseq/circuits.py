@@ -9,6 +9,7 @@ others, subject to the result still being a single closed walk.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -169,22 +170,54 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 # ----------------------------------------------------------------------
 # rewiring
 
-# The circuit decomposes at v into deg(v) segments (maximal stretches between
-# consecutive visits).  Those segments are invariant under rewiring at v, so a
-# candidate matching is a permutation of segments and is acceptable exactly
-# when that permutation is a single cycle.
+# A rewiring keeps every stretch of the walk between two arrivals at block
+# vertices (a segment) and changes only which segment follows which.  The
+# successor array `nxt` maps each segment to the one after it: segment i ends
+# with a block in-arc, and the out-arc wired after that in-arc begins
+# segment nxt[i].  A vertex block is rewired in one pass over that array
+# (Kotzig's transition moves, 1968; cycle joining as in Fredricksen, 1982):
 #
-# No search is needed.  With t <= floor(d/2) - 1 forbidden wirings, each of
-# the d segments keeps at least d/2 allowed successors and predecessors, so a
-# single cycle through allowed pairs exists (Ghouila-Houri, 1960), and
-# `_rewire_search` builds one directly.
+# 1. At each block vertex, `_matching` picks a perfect matching of in-arcs to
+#    out-arcs that avoids the banned pairs: a greedy pick over the old
+#    successors, then augmenting paths for the in-arcs left over.  With the
+#    own wiring banned the pick is the old successors shifted back by two
+#    arrivals, which at a lone vertex is the reversed segment order, one
+#    cycle.  Given t <= floor(d/2) - 1 forbidden circuits, the banned pairs
+#    are t disjoint matchings, so the allowed pairs are (d - t)-regular and
+#    a perfect matching exists (Koenig).
+# 2. The segments then fall into cycles, labelled in one pass.
+# 3. Two in-arcs of one block vertex on different cycles swap successors
+#    when both new pairs are allowed, which joins their two cycles into one;
+#    a union-find tracks the joins.  Passes over the block repeat while more
+#    than one cycle is left.  When a pass joins nothing, the walk between two
+#    arrivals at some block vertex whose in-arcs lie on different cycles is
+#    taken as one path each, and `_rewire_search` wires those d paths into a
+#    single cycle, joining every cycle through that vertex.  Some block
+#    vertex always has in-arcs on two cycles while more than one is left: the
+#    old walk goes from a segment on one to a segment on another through a
+#    block vertex.
+# 4. The segments are laid out once along nxt by C-level slices, from the one
+#    that holds the input's first arc, and the walk is validated once as a
+#    Circuit.  A closed walk that misses arcs passes that validation, so a
+#    walk shorter than the input is raised.
 #
-# A vertex block is rewired on two plain lists kept in step: the arc ids of
-# the walk and the head vertex of each arc.  The arrivals at v come from one
-# forward pass of C-level `heads.index` calls, a forbidden wiring is read off
-# a successor map built once per call, and both lists are re-joined with the
-# same slices.  The walk is validated, as a Circuit, once when the block is
-# done.
+# A block of |B| vertices with S arrivals in all costs O(|A|) in C-level
+# dict and slice work, O(S log S) to sort the arrivals and O(|B| d^2) pair
+# checks per joining pass.
+#
+# At d = 3 no 2-swap keeps the own-wiring ban (the only derangements of three
+# segments are the two 3-cycles), so a block that holds a degree-3 vertex is
+# folded instead, one vertex at a time: `_rewire_search` puts that vertex's
+# segments in one cycle through allowed pairs and `_splice` re-joins the arc
+# list and a head list kept in step.  The fold also takes over, from the
+# input, a block where joining stalls: no 2-swap fits and `_rewire_search`
+# finds no single cycle at any vertex that could join two.
+#
+# With t <= floor(d/2) - 1 forbidden wirings (or the own wiring, t = 1, at
+# d >= 4) each of the d segments or paths keeps at least d/2 allowed
+# successors and predecessors other than itself, so a single cycle through
+# allowed pairs exists (Ghouila-Houri, 1960), and `_rewire_search` builds one
+# directly.
 
 
 def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
@@ -258,6 +291,175 @@ def _splice(seq: list[int], heads: list[int], arrivals: list[int], succ: list[in
     return new_seq, new_heads
 
 
+def _rewire_fold(block: list[int], circuit: Circuit, banned: list[set]) -> Circuit:
+    """Rewire the block one vertex at a time on the arc list and a head list
+    kept in step, avoiding banned[i] at block[i]."""
+    g = circuit.graph
+    seq = list(circuit.arc_seq)
+    n = len(seq)
+    heads = [g.arcs[a].head for a in seq]
+    for v, bans in zip(block, banned):
+        # the arc list repeats no arc, so deg positions with head v are all of its in-arcs
+        arrivals = []
+        p = -1
+        for _ in g.in_arcs[v]:
+            p = heads.index(v, p + 1)
+            arrivals.append(p)
+        ends = [seq[p] for p in arrivals]
+        outs = [seq[(p + 1) % n] for p in arrivals]  # outs[j] begins segment j + 1
+        succ = _rewire_search(ends, outs[-1:] + outs[:-1], bans)
+        if succ is None:
+            raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
+        seq, heads = _splice(seq, heads, arrivals, succ)
+    return Circuit(g, tuple(seq))
+
+
+def _augment(j: int, ins, outs, bans: set, new: list, owner: dict) -> bool:
+    """Place in-arc j by one breadth-first augmenting path; False if none."""
+    parent: dict[int, int] = {}  # out-arc -> the in-arc index it was reached from
+    frontier = [j]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for o in outs:
+                if o in parent or (ins[i], o) in bans:
+                    continue
+                parent[o] = i
+                if o not in owner:  # free: shift every out-arc back along the path
+                    while o is not None:
+                        i = parent[o]
+                        new[i], owner[o], o = o, i, new[i]
+                    return True
+                reached.append(owner[o])
+        frontier = reached
+    return False
+
+
+def _matching(ins, outs, bans: set) -> Optional[list]:
+    """new[j], the out-arc to wire after in-arc ins[j], for a perfect
+    matching that avoids `bans`; None if there is none.
+
+    ins lists a vertex's in-arcs in arrival order and outs[j] is the old
+    successor of ins[j].  In-arc j takes the first allowed, unused one of
+    outs[j], outs[j - 2], outs[j - 3], ..., outs[j - d + 1] and last
+    outs[j - 1]; augmenting paths then place the in-arcs left over.
+    """
+    d = len(ins)
+    new: list = [None] * d
+    owner: dict[int, int] = {}  # out-arc -> index of the in-arc it follows
+    for j in range(d):
+        for s in (0, *range(2, d), 1):
+            o = outs[(j - s) % d]
+            if o not in owner and (ins[j], o) not in bans:
+                new[j], owner[o] = o, j
+                break
+    for j in range(d):
+        if new[j] is None and not _augment(j, ins, outs, bans, new, owner):
+            return None
+    return new
+
+
+def _join_block(g: DirectedMultigraph, block: list[int], seq: tuple, pos: dict,
+                banned: list[set]) -> Optional[tuple]:
+    """The block's arc sequence rewired by matching and cycle joining, from
+    seq[0]; None when joining stalls with more than one cycle."""
+    n = len(seq)
+    cuts = sorted(pos[a] for v in block for a in g.in_arcs[v])  # segment i ends at cuts[i]
+    count = len(cuts)
+    seg_of_end = {seq[p]: i for i, p in enumerate(cuts)}
+    first = [seq[(p + 1) % n] for p in cuts[-1:] + cuts[:-1]]  # first[i] begins segment i
+    seg_of_first = dict(zip(first, range(count)))
+    nxt = [0] * count
+    segs = []  # per block vertex, the segments its in-arcs end, in arrival order
+    for v, bans in zip(block, banned):
+        ins = sorted(g.in_arcs[v], key=pos.__getitem__)
+        new = _matching(ins, [seq[(pos[a] + 1) % n] for a in ins], bans)
+        if new is None:
+            raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
+        segs.append([seg_of_end[a] for a in ins])
+        for a, o in zip(ins, new):
+            nxt[seg_of_end[a]] = seg_of_first[o]
+
+    cyc = [-1] * count  # cycle label of each segment
+    cycles = 0
+    for i in range(count):
+        if cyc[i] < 0:
+            j = i
+            while cyc[j] < 0:
+                cyc[j] = cycles
+                j = nxt[j]
+            cycles += 1
+    root = list(range(cycles))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    def rejoin(ends: list, bans: set) -> bool:
+        """Put every path between two arrivals at this vertex on one cycle
+        with the fold's search; False if it finds none."""
+        here = set(ends)
+        begins, stops = [], []  # path j runs from segment begins[j] to stops[j]
+        for s in ends:
+            t = nxt[s]
+            begins.append(t)
+            while t not in here:
+                t = nxt[t]
+            stops.append(t)
+        succ = _rewire_search([seq[cuts[e]] for e in stops], [first[b] for b in begins], bans)
+        if succ is None:
+            return False
+        for e, j in zip(stops, succ):
+            nxt[e] = begins[j]
+        return True
+
+    while cycles > 1:
+        joined = False
+        for ends, bans in zip(segs, banned):
+            if len({find(cyc[s]) for s in ends}) == 1:
+                continue  # every in-arc here is on one cycle already
+            for x, sx in enumerate(ends):
+                for sy in ends[x + 1 :]:
+                    rx, ry = find(cyc[sx]), find(cyc[sy])
+                    if rx != ry and (seq[cuts[sx]], first[nxt[sy]]) not in bans and (
+                        seq[cuts[sy]], first[nxt[sx]]
+                    ) not in bans:
+                        nxt[sx], nxt[sy] = nxt[sy], nxt[sx]
+                        root[rx] = ry
+                        cycles -= 1
+                        joined = True
+            if cycles == 1:
+                break
+        if joined:
+            continue
+        # no 2-swap fits: join every cycle through one vertex at once
+        for ends, bans in zip(segs, banned):
+            roots = {find(cyc[s]) for s in ends}
+            if len(roots) > 1 and rejoin(ends, bans):
+                ry = roots.pop()
+                for rx in roots:
+                    root[rx] = ry
+                cycles -= len(roots)
+                break
+        else:
+            return None
+
+    parts = [seq[: cuts[0] + 1]]
+    t = nxt[0]
+    for _ in range(count):
+        if t == 0:
+            break
+        parts.append(seq[cuts[t - 1] + 1 : cuts[t] + 1])
+        t = nxt[t]
+    parts.append(seq[cuts[-1] + 1 :])
+    out = tuple(itertools.chain.from_iterable(parts))
+    if t != 0 or len(out) != n:  # a closed walk that misses arcs passes validation
+        raise ParameterOutOfRange(f"rewired walk closes after {len(out)} of {n} arcs")
+    return out
+
+
 def _successors(circuit: Circuit) -> dict[int, int]:
     """Arc -> next arc along the circuit: its wiring at every vertex."""
     seq = circuit.arc_seq
@@ -288,21 +490,29 @@ def rewire_vertex_set(
     circuit: Circuit,
     forbidden: Optional[Sequence[Circuit]] = None,
 ) -> Circuit:
-    """Fold rewire (or, given `forbidden`, rewire_given) over the vertices in
-    the given order.
+    """Rewire a block of vertices, keeping the wiring at every other vertex.
 
-    The circuit must traverse each in-arc of every listed vertex exactly
-    once, and so must each forbidden circuit; otherwise ParameterOutOfRange.
+    A block is a set of vertices rewired at once, not a fold of one-vertex
+    rewires, so a vertex listed twice raises ParameterOutOfRange.  Without
+    `forbidden`, each block vertex gets a wiring that shares no pair with its
+    old one (degree >= 3).  Given `forbidden`, each avoids every pair the
+    forbidden circuits use there (t <= floor(deg/2) - 1 of them).  The circuit
+    must traverse each in-arc of every block vertex exactly once, and so must
+    each forbidden circuit; otherwise ParameterOutOfRange.  When cycle joining
+    answers, the result starts with the circuit's first arc.
     """
     g = circuit.graph
-    seq = list(circuit.arc_seq)
+    seq = circuit.arc_seq
     n = len(seq)
-    if len(set(seq)) != n:
+    pos = dict(zip(seq, range(n)))
+    if len(pos) != n:
         raise ParameterOutOfRange("circuit repeats an arc")
-    arcs = g.arcs
-    heads = [arcs[a].head for a in seq]
     successors = None if forbidden is None else [_successors(c) for c in forbidden]
-    for v in vertices:
+    block = list(vertices)
+    if len(set(block)) != len(block):
+        raise ParameterOutOfRange("a vertex is listed twice in the block")
+    banned = []  # per block vertex, the (in, out) pairs its new wiring avoids
+    for v in block:
         ins = g.in_arcs[v]
         deg = len(ins)
         label = g.vertex_labels[v]
@@ -316,31 +526,24 @@ def rewire_vertex_set(
                 f"{len(successors)} forbidden circuits at degree {deg}; "
                 f"at most {deg // 2 - 1} supported"
             )
-        # the arc list repeats no arc, so deg positions with head v are all of ins
-        arrivals = []
-        p = -1
         try:
-            for _ in ins:
-                p = heads.index(v, p + 1)
-                arrivals.append(p)
-        except ValueError:
+            old = [seq[(pos[a] + 1) % n] for a in ins]
+        except KeyError:
             raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}") from None
-        ends = [seq[p] for p in arrivals]
-        outs = [seq[(p + 1) % n] for p in arrivals]  # outs[j] begins segment j + 1
         if successors is None:
-            banned = set(zip(ends, outs))
+            banned.append(set(zip(ins, old)))
         else:
             try:
-                banned = {(a, s[a]) for s in successors for a in ins}
+                banned.append({(a, s[a]) for s in successors for a in ins})
             except KeyError:
                 raise ParameterOutOfRange(
                     f"a forbidden circuit misses an in-arc of vertex {label!r}"
                 ) from None
-        succ = _rewire_search(ends, outs[-1:] + outs[:-1], banned)
-        if succ is None:
-            raise SearchExhausted(f"no acceptable rewiring at vertex {label!r}")
-        seq, heads = _splice(seq, heads, arrivals, succ)
-    return Circuit(g, tuple(seq))
+    if block and all(len(g.in_arcs[v]) != 3 for v in block):
+        out = _join_block(g, block, seq, pos, banned)
+        if out is not None:
+            return Circuit(g, out)
+    return _rewire_fold(block, circuit, banned)
 
 
 # ----------------------------------------------------------------------

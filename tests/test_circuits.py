@@ -277,11 +277,28 @@ def test_a_bad_splice_is_caught_when_the_fold_returns(monkeypatch):
         return out_seq, out_heads
 
     monkeypatch.setattr(circuits, "_splice", swap_first_two)
-    g = build_de_bruijn_graph(4, 2)
+    g = build_de_bruijn_graph(3, 2)  # degree 3: the block is folded, not joined
     base = find_eulerian_circuit(g)
     with pytest.raises(ParameterOutOfRange, match="not a valid transition"):
-        rewire_vertex_set(range(g.num_vertices), base, [base])
+        rewire_vertex_set(range(g.num_vertices), base)
     assert len(calls) == g.num_vertices  # the fold ran on; the exit check caught it
+
+
+@pytest.mark.parametrize("sigma, block", [(3, [0, 0]), (4, [1, 1]), (4, [0, 2, 3, 2])])
+def test_rewiring_rejects_a_vertex_listed_twice(sigma, block):
+    # rewired twice in a fold, a degree-3 vertex would get its old wiring back
+    base = find_eulerian_circuit(build_de_bruijn_graph(sigma, 2))
+    with pytest.raises(ParameterOutOfRange, match="listed twice"):
+        rewire_vertex_set(block, base)
+    if sigma > 3:
+        with pytest.raises(ParameterOutOfRange, match="listed twice"):
+            rewire_vertex_set(block, base, [base])
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_an_empty_block_keeps_the_circuit(given):
+    base = find_eulerian_circuit(build_de_bruijn_graph(4, 2))
+    assert rewire_vertex_set([], base, [base] if given else None) == base
 
 
 # ----------------------------------------------------------------------

@@ -56,18 +56,18 @@ GOLDEN = {
     "generate --family balanced-db -c 2 -b 6 -k 2 --format json": "4604ce0156ec81c8ebebd360241b902e1607cfd48548774694555fd80361edb4",
     "generate --family balanced-db -c 2 -b 6 -k 2 --format csv": "f10d4f039c4ac1c36ec2d56e967a7fb7f85bbf4fe6357922a20f0006fa055433",
     "generate --family balanced-db -c 2 -b 6 -k 2 --format fasta": "8570bb227aeee1a2694012fcdce614b312ef330a4861ee3bd8b5cc16b22de366",
-    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format text": "6c9929cf3aff20a91ea678e7cae87c72fca47ca4e175e1288f9183db66a9a765",
-    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format json": "7d9279f7f5b35bc520a16396dc7a3ea53dc2dc9226e25ef8f80fd39850aa9d77",
-    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format csv": "f3a136eb55e7c25ee0add57a30c78abb92b7b1fb2ee2d8096313490aa2a98da9",
-    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format fasta": "252902568b35bd0d66c8df478b9ca1bde54535c435308d449ac35f18b546018b",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format text": "ca962fc72567e256828562228a1ab49772c559c5d392a0af5fa311a0a88bcbce",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format json": "e8aec8564ae26fffe98f850735a66b90245bc22d5b15aeb911477545b07c1682",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format csv": "7151010d7e4455b05204b9062555e6c905910b30ad7d5a614daaef47522ea93e",
-    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format fasta": "020d7f3c42fb46bbb7bb1b9d625e3be8b0b6664eebab54f928becffcf9e5fad8",
-    "generate --family fw-db --dna -k 4 --weight 3 --format text": "ca962fc72567e256828562228a1ab49772c559c5d392a0af5fa311a0a88bcbce",
-    "generate --family fw-db --dna -k 4 --weight 3 --format json": "e8aec8564ae26fffe98f850735a66b90245bc22d5b15aeb911477545b07c1682",
-    "generate --family fw-db --dna -k 4 --weight 3 --format csv": "7151010d7e4455b05204b9062555e6c905910b30ad7d5a614daaef47522ea93e",
-    "generate --family fw-db --dna -k 4 --weight 3 --format fasta": "020d7f3c42fb46bbb7bb1b9d625e3be8b0b6664eebab54f928becffcf9e5fad8",
+    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format text": "c8fcb137c5d69946a51d8ee88d7cb51561769b5e38be27fe93e586e8091af5e0",
+    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format json": "97c58dc31312fcbaccd369496b7557d0a4ade1bee4e8b07030954981277f6750",
+    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format csv": "e531cf2c22f9dd832b2c43c827db496a9e52bde54917739c8d4c6dccbbfb9a78",
+    "generate --family balanced-kautz -c 2 -b 1 -k 2 --format fasta": "1c592cfe847398ae7771a01fecbd19d09fc47dd4f57753cf0d42a4b438913a1f",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format text": "788ad408fc5a2035d3ef81cf18bf2ab5d771e35abfbf6b669abc13c353c58c77",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format json": "07ddfdf90fb8dc4a5a1765d8edf52afbabf2030db895641c0ecfa0b5bdc14ff9",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format csv": "998240e3d0768ab685c117fe85a6a9b2734f80c941b7db464167f7bf8c08633b",
+    "generate --family fixed-weight-de-bruijn --dna -k 4 --weight 3 --format fasta": "b62cabe9718553bd22cb957a22c32834eff33d1d5b080cbd096b42c119be7ad7",
+    "generate --family fw-db --dna -k 4 --weight 3 --format text": "788ad408fc5a2035d3ef81cf18bf2ab5d771e35abfbf6b669abc13c353c58c77",
+    "generate --family fw-db --dna -k 4 --weight 3 --format json": "07ddfdf90fb8dc4a5a1765d8edf52afbabf2030db895641c0ecfa0b5bdc14ff9",
+    "generate --family fw-db --dna -k 4 --weight 3 --format csv": "998240e3d0768ab685c117fe85a6a9b2734f80c941b7db464167f7bf8c08633b",
+    "generate --family fw-db --dna -k 4 --weight 3 --format fasta": "b62cabe9718553bd22cb957a22c32834eff33d1d5b080cbd096b42c119be7ad7",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format text": "aafbb9b8333ce7b89e70f0ffb1699c66f4c7a436fc1c7ef33f010bef83a95bc3",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format json": "1b3fe3160650d2d8ce50a635b088082f070d9837dd617fcacd1b73edbe1c44aa",
     "generate --family fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --format csv": "a12796acaa3c82a88d97317fa2e908a099ff5c5a5a5dae272069a7d7d0ba9a3c",
@@ -89,7 +89,7 @@ GOLDEN = {
     "enumerate --dna -k 3 --band 1 1 --format csv": "71cd1e6977e21ca5dcb73d6c61be414d990f7bc9fe5b910a9f41b238f96dbfad",
     "enumerate --dna -k 3 --band 1 1 --format fasta": "1c48ce8bc462744df00f3fc989f84f6927567c6bf6835da35d2815dd014f5660",
     "enumerate --sigma 3 -k 2 --max-results 5": "0b325c176a011bb5f5821b293e3ed49aed057b5374f05fa5de4e046b2b57bc4a",
-    "generate --family de-bruijn --sigma 4 -k 2": "b7f3d18ad965fbca3d9ebcdfdd1d81c5cfd4cdcad3d17d66608ba24baa4d6eb5",
+    "generate --family de-bruijn --sigma 4 -k 2": "24a69522a4604afc3cb2ce363a23a41531dfcf781adab171ff958b8247f7085c",
     "generate --family balanced-de-bruijn -c 2 -b 2 -k 2": "b5abdf17a665cbc286520b401f384c7c29c37f3ba95839c286297cd05820854a",
     "generate --family balanced-kautz -c 1 -b 1 -k 2 --format json": "633a204112171abbc9a9ceb392d6469d6821da4b5820ecffc6aabc7c37ceb709",
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002211": "f5361699db0e464985ee52b3ebee1c3f4f60269dd6e78061cc12b14082ff248f",

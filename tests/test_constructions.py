@@ -179,6 +179,56 @@ def test_family_size_matches_the_paper(construct_family, sigma, big_k):
     assert len(result.words) == 2 * big_k
 
 
+# Blocks of degree >= 4 are rewired by cycle joining.  The fold of one-vertex
+# rewires is kept for blocks with a degree-3 vertex, and for blocks where
+# neither 2-swaps nor the per-vertex join can finish joining; on the
+# benchmark's degree >= 4 rewiring mix (the fixed-weight family under every
+# weighted pair it draws, two of which need the per-vertex join) and on
+# l_orthogonal_de_bruijn(4, 7, 2) no block reaches the fold.
+ENGINE_ONLY = (
+    [
+        dict(family="de-bruijn", sigma=s, k=k, ell=ell)
+        for s, k in ((4, 5), (5, 4), (6, 4), (8, 3), (9, 3), (5, 5))
+        for ell in (1, 2, 4)
+    ]
+    + [
+        dict(family="kautz", sigma=s, k=k, ell=ell)
+        for s, k in ((5, 5), (6, 4), (8, 3))
+        for ell in (1, 2)
+    ]
+    + [
+        dict(family="balanced-kautz", c=c, b=b, k=3)
+        for c, b in ((2, 2), (1, 3), (3, 1))
+    ]
+    + [
+        dict(family="fixed-weight-de-bruijn", k=k, weight=w, alphabet=dna_alphabet(pair))
+        for pair in itertools.combinations(range(4), 2)
+        for k in (5, 6)
+        for w in range(1, k + 1)
+    ]
+    + [dict(family="de-bruijn", sigma=4, k=7, ell=2)]
+)
+
+
+def test_degree_four_and_up_blocks_never_reach_the_fold(monkeypatch):
+    import orthoseq.circuits as circuits
+
+    fold = circuits._rewire_fold
+    calls = []
+
+    def counted(block, circuit, banned):
+        calls.append(len(block))
+        return fold(block, circuit, banned)
+
+    monkeypatch.setattr(circuits, "_rewire_fold", counted)
+    construct(OrthogonalCollectionRequest(family="de-bruijn", sigma=3, k=4, ell=2))
+    assert calls == [13, 14, 13]  # degree 3: the counter sees every block of the fold
+    calls.clear()
+    for params in ENGINE_ONLY:
+        construct(OrthogonalCollectionRequest(**params))
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # arc-disjoint avoiding cycles
 

@@ -11,8 +11,12 @@ Invariants checked on randomized inputs:
 * the two compatibility routes agree: wiring disjointness of the circuits
   versus window counting on their words
 * rewiring changes exactly the chosen vertex and preserves the circuit
+* a block rewired by cycle joining is one closed walk over every arc from
+  the input's first arc, avoids every ban at the block and keeps the wiring
+  everywhere else
 * the matching construction, under the bans rewiring hands it, returns one
-  cycle through the segments that avoids every ban
+  cycle through the segments that avoids every ban, and cycle joining's
+  matching is perfect and avoids them too
 * a circuit survives a split/merge round trip through any of its wirings
 * the digit bijection between one big alphabet and a pair of factors is
   invertible entrywise, and the stream join equals its symbol-by-symbol loop
@@ -26,11 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orthoseq.circuits as circuits
 from orthoseq.circuits import (
+    Circuit,
+    _matching,
     _rewire_search,
     circuit_to_word,
     find_eulerian_circuit,
@@ -46,6 +54,7 @@ from orthoseq.errors import NotConnected, ParameterOutOfRange
 from orthoseq.graphs import (
     DirectedMultigraph,
     build_de_bruijn_graph,
+    build_kautz_graph,
     build_restricted_graph,
     mixed_radix_join,
 )
@@ -189,6 +198,55 @@ def test_repeated_rewiring_stays_compatible(vertex, rounds):
         assert are_compatible([base, current]).holds
     v = vertex % graph.num_vertices
     assert wiring_of(v, current).pairs.isdisjoint(wiring_of(v, base).pairs)
+
+
+@st.composite
+def engine_blocks(draw):
+    """A block of >= 3 vertices on a degree >= 4 graph (de Bruijn sigma 4..9
+    or Kautz sigma 5..10, k = 2), the circuit to rewire, and the forbidden
+    circuits: None to ban the circuit's own wiring, or t <= d/2 - 1 pairwise
+    compatible circuits made by earlier rewires, the circuit among them."""
+    if draw(st.booleans()):
+        graph = build_kautz_graph(draw(st.integers(min_value=5, max_value=10)), 2)
+    else:
+        graph = build_de_bruijn_graph(draw(st.integers(min_value=4, max_value=9)), 2)
+    n, d = graph.num_vertices, graph.in_degree(0)
+    block = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=3, max_size=n, unique=True))
+    seq = find_eulerian_circuit(graph).arc_seq
+    r = draw(st.integers(min_value=0, max_value=len(seq) - 1))
+    chain = [Circuit(graph, seq[r:] + seq[:r])]
+    if draw(st.booleans()):
+        return block, chain[0], None
+    t = draw(st.integers(min_value=1, max_value=d // 2 - 1))
+    while len(chain) < t:
+        chain.append(rewire_vertex_set(range(n), chain[-1], chain))
+    return block, chain[draw(st.integers(min_value=0, max_value=t - 1))], chain
+
+
+@given(case=engine_blocks())
+@settings(max_examples=300, deadline=None)
+def test_cycle_joining_rewires_the_block_and_nothing_else(case):
+    block, before, forbidden = case
+    graph = before.graph
+    engine, answers = circuits._join_block, []
+
+    def join(*args):
+        answers.append(engine(*args))
+        return answers[-1]
+
+    with mock.patch.object(circuits, "_join_block", join):
+        after = rewire_vertex_set(block, before, forbidden)
+    assert len(answers) == 1 and answers[0] is not None  # joining answered, not the fold
+    assert after.arc_seq == answers[0]
+    assert sorted(after.arc_seq) == list(range(graph.num_arcs))  # one walk, every arc
+    assert after.arc_seq[0] == before.arc_seq[0]
+    for v in range(graph.num_vertices):
+        if v not in block:
+            assert wiring_of(v, after) == wiring_of(v, before)
+            continue
+        bans = [before] if forbidden is None else forbidden
+        banned = set().union(*(wiring_of(v, c).pairs for c in bans))
+        assert wiring_of(v, after).pairs.isdisjoint(banned)
 
 
 @given(sigma=st.integers(min_value=2, max_value=4), vertex=st.integers(min_value=0))
@@ -378,3 +436,8 @@ def test_matching_construction_gives_one_cycle_avoiding_the_bans(layout):
     assert not any((ends[j], starts[succ[j]]) in banned for j in range(d))
     if d <= 7:
         assert has_single_cycle(ends, starts, banned)
+    # cycle joining's matching, read with starts[j] as the old successor of
+    # ends[j]: a perfect matching that avoids the bans, cycles or not
+    new = _matching(ends, starts, banned)
+    assert sorted(new) == sorted(starts)
+    assert not any((a, o) in banned for a, o in zip(ends, new))
