@@ -10,13 +10,13 @@ others, subject to the result still being a single closed walk.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .alphabet import Word, as_entries
 from .errors import (
     DegreeMismatch,
+    GuardExceeded,
     InsufficientDegree,
     NotConnected,
     ParameterOutOfRange,
@@ -171,11 +171,21 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 # rewiring
 
 # A rewiring keeps every stretch of the walk between two arrivals at block
-# vertices (a segment) and changes only which segment follows which.  The
-# successor array `nxt` maps each segment to the one after it: segment i ends
-# with a block in-arc, and the out-arc wired after that in-arc begins
-# segment nxt[i].  A vertex block is rewired in one pass over that array
-# (Kotzig's transition moves, 1968; cycle joining as in Fredricksen, 1982):
+# vertices (a segment) and changes only which segment follows which.  Each
+# block vertex is rewired by the one rule for its degree.
+#
+# At d = 3 the reversed order is the only single cycle of three segments
+# other than the old order, and the floor(d/2) - 1 budget allows no
+# forbidden circuit, so nothing is searched: the degree-3 vertices, in block
+# order, each get the reversed order of the three segments between their
+# arrivals, one 4-slice relayout of the arc list (`_reverse_threes`, O(|A|)
+# per vertex in C-level list work).
+#
+# The other block vertices are then rewired at once on a successor array
+# `nxt` over the segments between their arrivals: segment i ends with a
+# block in-arc, and the out-arc wired after that in-arc begins segment
+# nxt[i] (Kotzig's transition moves, 1968; cycle joining as in Fredricksen,
+# 1982):
 #
 # 1. At each block vertex, `_matching` picks a perfect matching of in-arcs to
 #    out-arcs that avoids the banned pairs: a greedy pick over the old
@@ -190,128 +200,85 @@ def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
 #    when both new pairs are allowed, which joins their two cycles into one;
 #    a union-find tracks the joins.  Passes over the block repeat while more
 #    than one cycle is left.  When a pass joins nothing, the walk between two
-#    arrivals at some block vertex whose in-arcs lie on different cycles is
-#    taken as one path each, and `_rewire_search` wires those d paths into a
-#    single cycle, joining every cycle through that vertex.  Some block
+#    arrivals at the first block vertex whose in-arcs lie on different cycles
+#    is taken as one path each, and `_rewire_search` wires those d paths into
+#    a single cycle, joining every cycle through that vertex.  Some block
 #    vertex always has in-arcs on two cycles while more than one is left: the
 #    old walk goes from a segment on one to a segment on another through a
-#    block vertex.
+#    block vertex.  Each path keeps at least d/2 allowed successors and
+#    predecessors other than itself (the bans are t <= floor(d/2) - 1
+#    disjoint matchings, or the own wiring), so a single cycle through
+#    allowed pairs exists (Ghouila-Houri, 1960) and the search finds one.
 # 4. The segments are laid out once along nxt by C-level slices, from the one
-#    that holds the input's first arc, and the walk is validated once as a
+#    that holds the walk's first arc, and the walk is validated once as a
 #    Circuit.  A closed walk that misses arcs passes that validation, so a
 #    walk shorter than the input is raised.
 #
 # A block of |B| vertices with S arrivals in all costs O(|A|) in C-level
 # dict and slice work, O(S log S) to sort the arrivals and O(|B| d^2) pair
 # checks per joining pass.
-#
-# At d = 3 no 2-swap keeps the own-wiring ban (the only derangements of three
-# segments are the two 3-cycles), so a block that holds a degree-3 vertex is
-# folded instead, one vertex at a time: `_rewire_search` puts that vertex's
-# segments in one cycle through allowed pairs and `_splice` re-joins the arc
-# list and a head list kept in step.  The fold also takes over, from the
-# input, a block where joining stalls: no 2-swap fits and `_rewire_search`
-# finds no single cycle at any vertex that could join two.
-#
-# With t <= floor(d/2) - 1 forbidden wirings (or the own wiring, t = 1, at
-# d >= 4) each of the d segments or paths keeps at least d/2 allowed
-# successors and predecessors other than itself, so a single cycle through
-# allowed pairs exists (Ghouila-Houri, 1960), and `_rewire_search` builds one
-# directly.
+
+_SEARCH_NODES = 10**6  # node guard of `_rewire_search`
 
 
 def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
     """A matching of in-arcs to out-arcs that avoids the `banned` (in, out)
-    pairs and whose segment permutation is a single cycle; None if none is
-    found.
+    pairs and whose segment permutation is a single cycle; None if there is
+    none.
 
     Segment j ends with in-arc ends[j] and begins with out-arc starts[j].  The
     result maps each segment to the one that follows it: succ[j] = t wires
     ends[j] to starts[t].
 
-    The start is the single cycle succ[j] = j - s (mod d) for s = 1, the
-    reversed segment order, which shares no pair with the old order j + 1
-    when d >= 3.  While the first segment a with a banned successor remains,
-    take b after a and c after b along the cycle and set succ[a], succ[b],
-    succ[c] = succ[b], succ[c], succ[a], choosing the first such (b, c)
-    whose three new pairs are allowed.  That still visits every segment once
-    and removes the banned pair at a, so at most d rotations run.  If no
-    rotation fits, start again from the next s coprime to d.
+    A depth-first search over segment orders from segment 0, on an explicit
+    stack.  After segment j it tries j + 1 first (the old order), then j - 1,
+    j - 2, ... (the reversed order), so a ban on the old order alone is
+    answered by the reversed order without backtracking.  It is complete but
+    exponential in the worst case; past a fixed number of nodes it raises
+    GuardExceeded.
     """
     d = len(ends)
-
-    def allowed(x: int, y: int) -> bool:  # segment y may follow segment x
-        return (ends[x], starts[y]) not in banned
-
-    for s in range(1, d + 1):
-        if math.gcd(s, d) != 1:
+    options = [
+        [y for y in ((j + s) % d for s in (1, *range(d - 1, 1, -1)))
+         if (ends[j], starts[y]) not in banned]
+        for j in range(d)
+    ]
+    order = [0]  # the segments placed so far, in cycle order
+    placed = [True] + [False] * (d - 1)
+    stack = [iter(options[0])]
+    nodes = 0
+    while stack:
+        y = next((y for y in stack[-1] if not placed[y]), None)
+        if y is None:  # no segment left to try here: step back
+            stack.pop()
+            placed[order.pop()] = False
             continue
-        succ = [(j - s) % d for j in range(d)]
-        for _ in range(d + 1):  # each rotation removes a banned pair
-            a = next((j for j in range(d) if not allowed(j, succ[j])), None)
-            if a is None:
-                return succ
-            cyc = [a]  # the cycle read from a and back: b = cyc[i], c = cyc[j]
-            for _ in range(d):
-                cyc.append(succ[cyc[-1]])
-            move = next(
-                (
-                    (i, j)
-                    for i in range(1, d - 1)
-                    if allowed(a, cyc[i + 1])
-                    for j in range(i + 1, d)
-                    if allowed(cyc[i], cyc[j + 1]) and allowed(cyc[j], cyc[1])
-                ),
-                None,
-            )
-            if move is None:
-                break
-            i, j = move
-            succ[a], succ[cyc[i]], succ[cyc[j]] = cyc[i + 1], cyc[j + 1], cyc[1]
+        nodes += 1
+        if nodes > _SEARCH_NODES:
+            raise GuardExceeded(f"rewiring search passed {_SEARCH_NODES} nodes at degree {d}")
+        if len(order) == d - 1:
+            if (ends[y], starts[0]) not in banned:
+                succ = dict(zip(order + [y], order[1:] + [y, 0]))
+                return [succ[j] for j in range(d)]
+            continue
+        order.append(y)
+        placed[y] = True
+        stack.append(iter(options[y]))
     return None
 
 
-def _splice(seq: list[int], heads: list[int], arrivals: list[int], succ: list[int]):
-    """Both lists re-joined with the same slices: the segments laid out along
-    succ, starting from segment 0 (the one that wraps round the list end)."""
-    new_seq: list[int] = []
-    new_heads: list[int] = []
-    t = 0
-    for _ in arrivals:
-        start, stop = arrivals[t - 1] + 1, arrivals[t] + 1
-        if start < stop:
-            new_seq += seq[start:stop]
-            new_heads += heads[start:stop]
-        else:
-            new_seq += seq[start:]
-            new_seq += seq[:stop]
-            new_heads += heads[start:]
-            new_heads += heads[:stop]
-        t = succ[t]
-    return new_seq, new_heads
-
-
-def _rewire_fold(block: list[int], circuit: Circuit, banned: list[set]) -> Circuit:
-    """Rewire the block one vertex at a time on the arc list and a head list
-    kept in step, avoiding banned[i] at block[i]."""
-    g = circuit.graph
-    seq = list(circuit.arc_seq)
-    n = len(seq)
-    heads = [g.arcs[a].head for a in seq]
-    for v, bans in zip(block, banned):
-        # the arc list repeats no arc, so deg positions with head v are all of its in-arcs
-        arrivals = []
-        p = -1
-        for _ in g.in_arcs[v]:
-            p = heads.index(v, p + 1)
-            arrivals.append(p)
-        ends = [seq[p] for p in arrivals]
-        outs = [seq[(p + 1) % n] for p in arrivals]  # outs[j] begins segment j + 1
-        succ = _rewire_search(ends, outs[-1:] + outs[:-1], bans)
-        if succ is None:
-            raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
-        seq, heads = _splice(seq, heads, arrivals, succ)
-    return Circuit(g, tuple(seq))
+def _reverse_threes(g: DirectedMultigraph, seq: Sequence[int], vertices: list[int]) -> list:
+    """The arc list with each degree-3 vertex, in turn, rewired to the
+    reversed order of the three segments between its arrivals."""
+    arcs = list(seq)
+    for v in vertices:
+        p, q, r = sorted(map(arcs.index, g.in_arcs[v]))
+        out = arcs[r + 1 :]
+        out += arcs[: p + 1]
+        out += arcs[q + 1 : r + 1]
+        out += arcs[p + 1 : q + 1]
+        arcs = out
+    return arcs
 
 
 def _augment(j: int, ins, outs, bans: set, new: list, owner: dict) -> bool:
@@ -359,10 +326,10 @@ def _matching(ins, outs, bans: set) -> Optional[list]:
     return new
 
 
-def _join_block(g: DirectedMultigraph, block: list[int], seq: tuple, pos: dict,
-                banned: list[set]) -> Optional[tuple]:
+def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos: dict,
+                banned: list[set]) -> tuple:
     """The block's arc sequence rewired by matching and cycle joining, from
-    seq[0]; None when joining stalls with more than one cycle."""
+    seq[0]."""
     n = len(seq)
     cuts = sorted(pos[a] for v in block for a in g.in_arcs[v])  # segment i ends at cuts[i]
     count = len(cuts)
@@ -397,9 +364,8 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: tuple, pos: dict,
             x = root[x]
         return x
 
-    def rejoin(ends: list, bans: set) -> bool:
-        """Put every path between two arrivals at this vertex on one cycle
-        with the fold's search; False if it finds none."""
+    def rejoin(v: int, ends: list, bans: set):
+        """Put every path between two arrivals at vertex v on one cycle."""
         here = set(ends)
         begins, stops = [], []  # path j runs from segment begins[j] to stops[j]
         for s in ends:
@@ -410,10 +376,9 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: tuple, pos: dict,
             stops.append(t)
         succ = _rewire_search([seq[cuts[e]] for e in stops], [first[b] for b in begins], bans)
         if succ is None:
-            return False
+            raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
         for e, j in zip(stops, succ):
             nxt[e] = begins[j]
-        return True
 
     while cycles > 1:
         joined = False
@@ -434,17 +399,16 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: tuple, pos: dict,
                 break
         if joined:
             continue
-        # no 2-swap fits: join every cycle through one vertex at once
-        for ends, bans in zip(segs, banned):
+        # no 2-swap fits: join every cycle through the first vertex that touches two
+        for v, ends, bans in zip(block, segs, banned):
             roots = {find(cyc[s]) for s in ends}
-            if len(roots) > 1 and rejoin(ends, bans):
-                ry = roots.pop()
-                for rx in roots:
-                    root[rx] = ry
-                cycles -= len(roots)
+            if len(roots) > 1:
                 break
-        else:
-            return None
+        rejoin(v, ends, bans)
+        ry = roots.pop()
+        for rx in roots:
+            root[rx] = ry
+        cycles -= len(roots)
 
     parts = [seq[: cuts[0] + 1]]
     t = nxt[0]
@@ -496,10 +460,13 @@ def rewire_vertex_set(
     rewires, so a vertex listed twice raises ParameterOutOfRange.  Without
     `forbidden`, each block vertex gets a wiring that shares no pair with its
     old one (degree >= 3).  Given `forbidden`, each avoids every pair the
-    forbidden circuits use there (t <= floor(deg/2) - 1 of them).  The circuit
-    must traverse each in-arc of every block vertex exactly once, and so must
-    each forbidden circuit; otherwise ParameterOutOfRange.  When cycle joining
-    answers, the result starts with the circuit's first arc.
+    forbidden circuits use there (t <= floor(deg/2) - 1 of them, so none at
+    degree 3).  The circuit must traverse each in-arc of every block vertex
+    exactly once, and so must each forbidden circuit; otherwise
+    ParameterOutOfRange.  Degree-3 vertices get the reversed order of their
+    segments, in block order; the other block vertices are then rewired
+    together by cycle joining.  A block with no degree-3 vertex keeps the
+    circuit's first arc first.
     """
     g = circuit.graph
     seq = circuit.arc_seq
@@ -511,7 +478,8 @@ def rewire_vertex_set(
     block = list(vertices)
     if len(set(block)) != len(block):
         raise ParameterOutOfRange("a vertex is listed twice in the block")
-    banned = []  # per block vertex, the (in, out) pairs its new wiring avoids
+    threes, rest = [], []
+    banned = []  # per vertex of `rest`, the (in, out) pairs its new wiring avoids
     for v in block:
         ins = g.in_arcs[v]
         deg = len(ins)
@@ -530,6 +498,10 @@ def rewire_vertex_set(
             old = [seq[(pos[a] + 1) % n] for a in ins]
         except KeyError:
             raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}") from None
+        if deg == 3:
+            threes.append(v)
+            continue
+        rest.append(v)
         if successors is None:
             banned.append(set(zip(ins, old)))
         else:
@@ -539,11 +511,12 @@ def rewire_vertex_set(
                 raise ParameterOutOfRange(
                     f"a forbidden circuit misses an in-arc of vertex {label!r}"
                 ) from None
-    if block and all(len(g.in_arcs[v]) != 3 for v in block):
-        out = _join_block(g, block, seq, pos, banned)
-        if out is not None:
-            return Circuit(g, out)
-    return _rewire_fold(block, circuit, banned)
+    if threes:  # no other vertex's wiring changes, so `banned` still holds
+        seq = _reverse_threes(g, seq, threes)
+        pos = dict(zip(seq, range(n)))
+    if rest:
+        seq = _join_block(g, rest, seq, pos, banned)
+    return Circuit(g, seq)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from orthoseq.alphabet import dna_alphabet
+from orthoseq.alphabet import LanguageSpec, default_alphabet, dna_alphabet, expand_language
 from orthoseq.circuits import (
     Circuit,
     Wiring,
@@ -265,23 +265,49 @@ def test_rewiring_rejects_a_walk_that_repeats_an_arc():
 def test_a_bad_splice_is_caught_when_the_fold_returns(monkeypatch):
     import orthoseq.circuits as circuits
 
-    splice = circuits._splice
+    relayout = circuits._reverse_threes
     calls = []
 
-    def swap_first_two(seq, heads, arrivals, succ):
-        out_seq, out_heads = splice(seq, heads, arrivals, succ)
-        if not calls:  # corrupt the first vertex's splice only, in both lists
-            out_seq[0], out_seq[1] = out_seq[1], out_seq[0]
-            out_heads[0], out_heads[1] = out_heads[1], out_heads[0]
-        calls.append(out_seq)
-        return out_seq, out_heads
+    def corrupt_the_first(g, seq, vertices):
+        out = relayout(g, seq, vertices[:1])
+        out[0], out[1] = out[1], out[0]  # corrupt the first vertex's relayout only
+        calls.append(len(vertices))
+        return relayout(g, out, vertices[1:])
 
-    monkeypatch.setattr(circuits, "_splice", swap_first_two)
-    g = build_de_bruijn_graph(3, 2)  # degree 3: the block is folded, not joined
+    monkeypatch.setattr(circuits, "_reverse_threes", corrupt_the_first)
+    g = build_de_bruijn_graph(3, 2)  # degree 3: every vertex takes the reversed order
     base = find_eulerian_circuit(g)
     with pytest.raises(ParameterOutOfRange, match="not a valid transition"):
         rewire_vertex_set(range(g.num_vertices), base)
-    assert len(calls) == g.num_vertices  # the fold ran on; the exit check caught it
+    assert calls == [g.num_vertices]  # the fold ran on; the exit check caught it
+
+
+def test_a_mixed_degree_block_reverses_its_degree_three_vertices_and_joins_the_rest():
+    language = expand_language(LanguageSpec("full", 3, 1, 2), default_alphabet(5, (0, 1)))
+    g = build_restricted_graph(language, sigma=5)
+    degree = [g.in_degree(v) for v in range(g.num_vertices)]
+    assert set(degree) == {2, 3, 5}
+    block = [v for v in range(g.num_vertices) if degree[v] >= 3]
+    threes = [v for v in block if degree[v] == 3]
+    assert (len(block), len(threes)) == (16, 4)
+    before = find_eulerian_circuit(g)
+    after = rewire_vertex_set(block, before)
+    assert sorted(after.arc_seq) == list(range(g.num_arcs))  # one walk, every arc
+    for v in range(g.num_vertices):
+        old, new = wiring_of(v, before).pairs, wiring_of(v, after).pairs
+        assert old.isdisjoint(new) if v in block else old == new
+    # in block order, each degree-3 vertex takes the reversed order of its three
+    # segments in the walk with the earlier ones rewired: each in-arc is wired to
+    # the old successor of the arrival after it
+    succ = dict(zip(before.arc_seq, before.arc_seq[1:] + before.arc_seq[:1]))
+    for v in threes:
+        walk = [before.arc_seq[0]]
+        while len(walk) < g.num_arcs:
+            walk.append(succ[walk[-1]])
+        ins = [a for a in walk if g.arcs[a].head == v]
+        reversed_order = {(a, succ[b]) for a, b in zip(ins, ins[1:] + ins[:1])}
+        assert wiring_of(v, after).pairs == reversed_order
+        succ.update(reversed_order)
 
 
 @pytest.mark.parametrize("sigma, block", [(3, [0, 0]), (4, [1, 1]), (4, [0, 2, 3, 2])])

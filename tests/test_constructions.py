@@ -179,11 +179,10 @@ def test_family_size_matches_the_paper(construct_family, sigma, big_k):
     assert len(result.words) == 2 * big_k
 
 
-# Blocks of degree >= 4 are rewired by cycle joining.  The fold of one-vertex
-# rewires is kept for blocks with a degree-3 vertex, and for blocks where
-# neither 2-swaps nor the per-vertex join can finish joining; on the
-# benchmark's degree >= 4 rewiring mix (the fixed-weight family under every
-# weighted pair it draws, two of which need the per-vertex join) and on
+# Degree-3 vertices are folded, one reversed segment order after another;
+# every other block vertex is rewired by cycle joining.  On the benchmark's
+# degree >= 4 rewiring mix (the fixed-weight family under every weighted pair
+# it draws, two of which need the per-vertex join) and on
 # l_orthogonal_de_bruijn(4, 7, 2) no block reaches the fold.
 ENGINE_ONLY = (
     [
@@ -213,14 +212,14 @@ ENGINE_ONLY = (
 def test_degree_four_and_up_blocks_never_reach_the_fold(monkeypatch):
     import orthoseq.circuits as circuits
 
-    fold = circuits._rewire_fold
+    fold = circuits._reverse_threes
     calls = []
 
-    def counted(block, circuit, banned):
-        calls.append(len(block))
-        return fold(block, circuit, banned)
+    def counted(g, seq, vertices):
+        calls.append(len(vertices))
+        return fold(g, seq, vertices)
 
-    monkeypatch.setattr(circuits, "_rewire_fold", counted)
+    monkeypatch.setattr(circuits, "_reverse_threes", counted)
     construct(OrthogonalCollectionRequest(family="de-bruijn", sigma=3, k=4, ell=2))
     assert calls == [13, 14, 13]  # degree 3: the counter sees every block of the fold
     calls.clear()

@@ -2,8 +2,8 @@
 
 Every circuit returned over a fixed case set is hashed by its exact arc
 sequence, rotation included.  The hash pins how rewiring chooses a wiring
-(cycle joining at degree >= 4; the reversed segment order, repaired by the
-first fitting 3-rotations, in the degree-3 fold) and the order in which
+(the reversed order of the three segments at each degree-3 vertex, taken in
+block order; cycle joining at every other degree) and the order in which
 vertex blocks are rewired: any change to either, or to where a rewired
 circuit starts, changes it.
 The case set is the in-process construction mix of the benchmark's
