@@ -8,6 +8,7 @@ optional "weighted" subset W used by the fixed-weight families.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,6 +32,8 @@ class Alphabet:
         for i in self.weighted:
             if not 0 <= i < len(self.tokens):
                 raise ParameterOutOfRange(f"weighted symbol {i} out of range")
+        # fixed per alphabet, so render and parse agree on every word
+        object.__setattr__(self, "_separator", "" if all(len(t) == 1 for t in self.tokens) else " ")
 
     @property
     def sigma(self) -> int:
@@ -41,19 +44,14 @@ class Alphabet:
         return frozenset(range(self.sigma)) - self.weighted
 
     def render(self, entries: Iterable[int]) -> str:
-        entries = tuple(entries)
-        toks = [self.tokens[s] for s in entries]
-        if all(len(t) == 1 for t in toks):
-            return "".join(toks) if toks else "-"
-        return " ".join(toks) if toks else "-"
+        """Tokens run together if all are one character, else space-separated."""
+        toks = tuple(map(self.tokens.__getitem__, entries))
+        return self._separator.join(toks) if toks else "-"
 
     def parse(self, text: str) -> tuple[int, ...]:
-        """Inverse of :meth:`render` (single-character tokens only)."""
+        """Inverse of :meth:`render`."""
         index = {t: i for i, t in enumerate(self.tokens)}
-        if any(len(t) != 1 for t in self.tokens):
-            parts = text.split()
-        else:
-            parts = list(text.strip())
+        parts = text.split() if self._separator else list(text.strip())
         try:
             return tuple(index[p] for p in parts)
         except KeyError as exc:
@@ -153,20 +151,28 @@ class LanguageSpec:
         return self.min_weight is not None
 
 
+def language_ids(spec: LanguageSpec, alphabet: Alphabet) -> list[int]:
+    """The base-sigma values of the language's words, ascending (the words'
+    lexicographic order), by prefix extension: each prefix carries its weight
+    and is kept only while the symbols still to come can end it in the band."""
+    sigma, kautz = alphabet.sigma, spec.kind == "kautz"
+    lo, hi = (spec.min_weight, spec.max_weight) if spec.banded else (0, spec.length)
+    weight = [int(c in alphabet.weighted) for c in range(sigma)]
+    left = spec.length - 1  # symbols still to come after the current one
+    level = [(c, weight[c]) for c in range(sigma) if lo - left <= weight[c] <= hi]
+    for left in reversed(range(left)):
+        level = [(i * sigma + c, x + weight[c]) for i, x in level for c in range(sigma)
+                 if lo - left <= x + weight[c] <= hi and not (kautz and c == i % sigma)]
+    return [i for i, _ in level]
+
+
+def words_of_ids(ids: Sequence[int], sigma: int, k: int) -> list[tuple[int, ...]]:
+    """The k-symbol words whose base-sigma values are `ids`, in that order."""
+    digits = (map(operator.mod, map(operator.floordiv, ids, itertools.repeat(sigma**e)),
+                  itertools.repeat(sigma)) for e in reversed(range(k)))
+    return list(zip(*digits)) or [()] * len(ids)  # zip() of no digits gives no words
+
+
 def expand_language(spec: LanguageSpec, alphabet: Alphabet) -> list[Word]:
     """Materialize the language as a lexicographically sorted list of words."""
-    sigma = alphabet.sigma
-    if spec.banded and spec.min_weight > spec.length:
-        return []
-    out: list[Word] = []
-    for entries in itertools.product(range(sigma), repeat=spec.length):
-        if spec.kind == "kautz" and any(
-            entries[i] == entries[i + 1] for i in range(len(entries) - 1)
-        ):
-            continue
-        if spec.banded:
-            w = word_weight(entries, alphabet.weighted)
-            if not spec.min_weight <= w <= spec.max_weight:
-                continue
-        out.append(Word(entries))
-    return out
+    return list(map(Word, words_of_ids(language_ids(spec, alphabet), alphabet.sigma, spec.length)))

@@ -85,7 +85,12 @@ def word_to_circuit(word, graph: DirectedMultigraph) -> Circuit:
         0 <= min(ext) and max(ext) < graph.sigma
     ):  # arc id = the window's base-sigma value
         windows = [ext[j : j + n] for j in range(k)]
-        return Circuit(graph, mixed_radix_join(windows, [graph.sigma] * k))
+        # consecutive windows of one circular word overlap in k - 1 symbols, so
+        # every transition is valid and the arc-by-arc check is skipped
+        circuit = object.__new__(Circuit)
+        object.__setattr__(circuit, "graph", graph)
+        object.__setattr__(circuit, "arc_seq", mixed_radix_join(windows, [graph.sigma] * k))
+        return circuit
     seq = []
     for t in range(n):
         window = ext[t : t + k]

@@ -38,7 +38,7 @@ from .graphs import (
     DirectedMultigraph,
     build_de_bruijn_graph,
     build_kautz_graph,
-    build_restricted_graph,
+    build_language_graph,
     mixed_radix_join,
     tensor_product,
 )
@@ -545,7 +545,7 @@ def construct_fixed_weight_orthogonal_db(
         raise ParameterOutOfRange(f"need 1 <= w <= k, got w={w}")
     spec = LanguageSpec("full", k, min_weight=w - 1, max_weight=w)
     language = expand_language(spec, alphabet)
-    graph = build_restricted_graph(language, sigma=alphabet.sigma)
+    graph = build_language_graph(spec, alphabet)
     circuits, prov = _split_circuit_family(graph, min(n_w, n_x))
     words = [circuit_to_word(c) for c in circuits]
     return _certified(
@@ -590,7 +590,7 @@ def construct_fixed_weight_kautz_orthogonal(
         raise UnsupportedCase(f"no such sequence for band ({w_min},{w_max}) at k={k}")
     spec = LanguageSpec("kautz", k, min_weight=w_min, max_weight=w_max)
     language = expand_language(spec, alphabet)
-    graph = build_restricted_graph(language, sigma=alphabet.sigma)
+    graph = build_language_graph(spec, alphabet)
     delta = alphabet.sigma - 1
     if w_min == w_max:
         # single-class band: plain traversal of the sub-alphabet language

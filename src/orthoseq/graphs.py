@@ -15,7 +15,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .alphabet import Alphabet, LanguageSpec, as_entries, expand_language
+from .alphabet import Alphabet, LanguageSpec, as_entries, language_ids, words_of_ids
 from .errors import ParameterOutOfRange
 
 
@@ -50,19 +50,22 @@ class DirectedMultigraph:
         self.sigma = sigma
         self.k = k
         self.base = base  # original graph for kind == "split"
-        index = self.vertex_index
-        self.arcs: tuple[Arc, ...] = tuple(
-            Arc(aid, index[tail], index[head], symbol)
-            for aid, (tail, head, symbol) in enumerate(arc_specs)
-        )
+        tails, heads, symbols = list(zip(*arc_specs)) or ((), (), ())
+        index = self.vertex_index.__getitem__
+        self._set_arcs(list(map(index, tails)), list(map(index, heads)), symbols)
+        self._signature: Optional[str] = None
+
+    def _set_arcs(self, tails: list[int], heads: list[int], symbols: Sequence) -> None:
+        """Arcs 0..m-1 from their tail and head vertex ids and their symbols."""
+        fields = zip(range(len(tails)), tails, heads, symbols)
+        self.arcs: tuple[Arc, ...] = tuple(map(tuple.__new__, itertools.repeat(Arc), fields))
         out_lists: list[list[int]] = [[] for _ in self.vertex_labels]
         in_lists: list[list[int]] = [[] for _ in self.vertex_labels]
-        for a in self.arcs:
-            out_lists[a.tail].append(a.id)
-            in_lists[a.head].append(a.id)
-        self.out_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(l) for l in out_lists)
-        self.in_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(l) for l in in_lists)
-        self._signature: Optional[str] = None
+        for aid, (tail, head) in enumerate(zip(tails, heads)):
+            out_lists[tail].append(aid)
+            in_lists[head].append(aid)
+        self.out_arcs: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
+        self.in_arcs: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -218,19 +221,44 @@ def build_kautz_graph(sigma: int, k: int) -> DirectedMultigraph:
         raise ParameterOutOfRange(f"Kautz graphs need sigma >= 3, got {sigma}")
     if k < 2:
         raise ParameterOutOfRange(f"Kautz graphs need k >= 2, got {k}")
-    words = [
-        w
-        for w in itertools.product(range(sigma), repeat=k)
-        if all(w[i] != w[i + 1] for i in range(k - 1))
-    ]
-    return build_restricted_graph(words, kind="kautz", sigma=sigma)
+    labels = [(c,) for c in range(sigma)]
+    for _ in range(k - 2):  # prefix extension keeps the labels in lexicographic order
+        labels = [w + (c,) for w in labels for c in range(sigma) if c != w[-1]]
+    g = DirectedMultigraph(labels, (), kind="kautz", sigma=sigma, k=k)
+    # arc v*d + j appends to vertex v the j-th symbol other than its last one
+    d = sigma - 1
+    others = [[c for c in range(sigma) if c != x] for x in range(sigma)]
+    symbols = list(itertools.chain.from_iterable(
+        map(others.__getitem__, map(operator.itemgetter(-1), labels))
+    ))
+    if k == 2:
+        heads = symbols  # vertex (c,) has id c
+    else:  # the d successors of w share the prefix w[1:], so their ids are consecutive
+        starts = (g.vertex_index[w[1:] + (others[w[-1]][0],)] for w in labels)
+        heads = list(itertools.chain.from_iterable(range(s, s + d) for s in starts))
+    tails = list(map(operator.floordiv, range(len(symbols)), itertools.repeat(d)))
+    g._set_arcs(tails, heads, symbols)
+    return g
 
 
 def build_language_graph(spec: LanguageSpec, alphabet: Alphabet) -> DirectedMultigraph:
-    """Restricted graph of an expanded language spec."""
-    return build_restricted_graph(
-        expand_language(spec, alphabet), kind="restricted", sigma=alphabet.sigma
-    )
+    """Restricted graph of a language spec, the graph build_restricted_graph
+    gives on its expanded words, built on their base-sigma values: a word's
+    prefix is its value // sigma and its suffix its value mod sigma^(k-1), and
+    ascending values are the words in lexicographic order."""
+    sigma, k = alphabet.sigma, spec.length
+    ids = language_ids(spec, alphabet)
+    if not ids:
+        raise ParameterOutOfRange("language is empty")
+    tails = list(map(operator.floordiv, ids, itertools.repeat(sigma)))
+    heads = list(map(operator.mod, ids, itertools.repeat(sigma ** (k - 1))))
+    vertices = sorted(set(tails).union(heads))
+    g = DirectedMultigraph(words_of_ids(vertices, sigma, k - 1), (), kind="restricted",
+                           sigma=sigma, k=k)
+    index = dict(zip(vertices, range(len(vertices)))).__getitem__
+    g._set_arcs(list(map(index, tails)), list(map(index, heads)),
+                list(map(operator.mod, ids, itertools.repeat(sigma))))
+    return g
 
 
 # ----------------------------------------------------------------------

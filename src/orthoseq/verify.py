@@ -10,6 +10,7 @@ is right, not that it agrees with itself.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -92,38 +93,48 @@ def _first_window_violation(word, n: int, expected: dict) -> Optional[tuple]:
     return None
 
 
-def _covering_report(word, n: int, expected: dict, prop: str) -> VerificationReport:
-    """Check that the n-windows of `word` hit each expected window the
-    expected number of times and nothing else."""
+def _covering_report(word, n: int, expected: dict, prop: str,
+                     counts: Optional[Counter] = None) -> VerificationReport:
+    """Check that the n-windows of `word` (histogram `counts`, if known) hit
+    each expected window the expected number of times and nothing else."""
     entries = as_entries(word)
     total = sum(expected.values())
-    counts = circular_window_counts(entries, n) if entries else Counter()
+    if counts is None:
+        counts = circular_window_counts(entries, n) if entries else Counter()
     if len(entries) != total:
         return VerificationReport(
-            prop, False, witness=("length", len(entries), "expected", total), counts=dict(counts)
+            prop, False, witness=("length", len(entries), "expected", total), counts=counts
         )
     if counts == expected:
-        return VerificationReport(prop, True, counts=dict(counts))
+        return VerificationReport(prop, True, counts=counts)
     witness = _first_window_violation(entries, n, expected)
     if witness is None:  # some expected window is missing
         witness = next(w for w, c in sorted(expected.items()) if counts.get(w, 0) < c)
-    return VerificationReport(prop, False, witness=witness, counts=dict(counts))
+    return VerificationReport(prop, False, witness=witness, counts=counts)
 
 
-# ----------------------------------------------------------------------
-# local language generators (kept separate from the construction side)
-
-
-def _all_words(sigma: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(sigma), repeat=k))
-
-
-def _kautz_words(sigma: int, k: int) -> list[tuple[int, ...]]:
-    return [
-        w
-        for w in itertools.product(range(sigma), repeat=k)
-        if all(w[i] != w[i + 1] for i in range(k - 1))
-    ]
+def _language_report(word, sigma: int, k: int, b: int, kautz: bool,
+                     prop: str) -> VerificationReport:
+    """Every k-word over range(sigma), adjacent-distinct ones only when
+    `kautz`, appears exactly b times among the k-windows of `word`.  By
+    pigeonhole a word passes at once if it has b*|L| windows, |L| distinct and
+    none more than b times, all in L; any other word takes the expected-dict
+    path, which names the witness."""
+    entries = as_entries(word)
+    counts = circular_window_counts(entries, k) if entries else Counter()
+    size = sigma * (sigma - 1) ** (k - 1) if kautz else sigma**k
+    if (
+        len(entries) == b * size
+        and len(counts) == size
+        and max(counts.values(), default=0) <= b
+        and set(entries).issubset(range(sigma))
+        and not (kautz and any(map(operator.eq, entries, entries[1:] + entries[:1])))
+    ):
+        return VerificationReport(prop, True, counts=counts)
+    words = [()]  # the language, generated here rather than taken from the construction side
+    for _ in range(k):
+        words = [w + (c,) for w in words for c in range(sigma) if not (kautz and w and c == w[-1])]
+    return _covering_report(entries, k, dict.fromkeys(words, b), prop, counts)
 
 
 # ----------------------------------------------------------------------
@@ -132,32 +143,28 @@ def _kautz_words(sigma: int, k: int) -> list[tuple[int, ...]]:
 
 def is_de_bruijn(word, sigma: int, k: int) -> VerificationReport:
     """Every k-word over the sigma symbols appears exactly once."""
-    expected = dict.fromkeys(_all_words(sigma, k), 1)
-    return _covering_report(word, k, expected, f"de_bruijn({sigma},{k})")
+    return _language_report(word, sigma, k, 1, False, f"de_bruijn({sigma},{k})")
 
 
 def is_b_balanced(word, sigma: int, k: int, b: int) -> VerificationReport:
     """Every k-word appears exactly b times."""
     _require(b >= 1, "b must be >= 1")
-    expected = dict.fromkeys(_all_words(sigma, k), b)
-    return _covering_report(word, k, expected, f"balanced({sigma},{k},b={b})")
+    return _language_report(word, sigma, k, b, False, f"balanced({sigma},{k},b={b})")
 
 
 def is_kautz_word(word, sigma: int, k: int) -> VerificationReport:
     """Every adjacent-distinct k-word appears exactly once (circularly)."""
-    expected = dict.fromkeys(_kautz_words(sigma, k), 1)
-    return _covering_report(word, k, expected, f"kautz({sigma},{k})")
+    return _language_report(word, sigma, k, 1, True, f"kautz({sigma},{k})")
 
 
 def is_b_balanced_kautz(word, sigma: int, k: int, b: int) -> VerificationReport:
     _require(b >= 1, "b must be >= 1")
-    expected = dict.fromkeys(_kautz_words(sigma, k), b)
-    return _covering_report(word, k, expected, f"kautz_balanced({sigma},{k},b={b})")
+    return _language_report(word, sigma, k, b, True, f"kautz_balanced({sigma},{k},b={b})")
 
 
 def is_fixed_weight_db(word, language: Iterable) -> VerificationReport:
     """Every word of the (materialized) language appears exactly once."""
-    words = [as_entries(w) for w in language]
+    words = list(map(as_entries, language))
     _require(bool(words), "language is empty")
     k = len(words[0])
     _require(all(len(w) == k for w in words), "language mixes word lengths")
@@ -172,9 +179,9 @@ def is_self_orthogonal(word, k: int) -> VerificationReport:
     if max(counts.values()) > 1:
         witness = _first_window_violation(word, k + 1, dict.fromkeys(counts, 1))
         return VerificationReport(
-            f"self_orthogonal(k={k})", False, witness=witness, counts=dict(counts)
+            f"self_orthogonal(k={k})", False, witness=witness, counts=counts
         )
-    return VerificationReport(f"self_orthogonal(k={k})", True, counts=dict(counts))
+    return VerificationReport(f"self_orthogonal(k={k})", True, counts=counts)
 
 
 def is_l_orthogonal(collection: Sequence, k: int, ell: int) -> VerificationReport:
@@ -183,11 +190,11 @@ def is_l_orthogonal(collection: Sequence, k: int, ell: int) -> VerificationRepor
     total = Counter(
         itertools.chain.from_iterable(_windows(as_entries(word), k + 1) for word in collection)
     )
-    bad = sorted(w for w, c in total.items() if c > ell)
     prop = f"l_orthogonal(k={k},ell={ell},n={len(collection)})"
-    if bad:
-        return VerificationReport(prop, False, witness=bad[0], counts=dict(total))
-    return VerificationReport(prop, True, counts=dict(total))
+    if max(total.values(), default=0) > ell:
+        bad = min(w for w, c in total.items() if c > ell)
+        return VerificationReport(prop, False, witness=bad, counts=total)
+    return VerificationReport(prop, True, counts=total)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +256,8 @@ def is_b_circuit(walk, graph, b: int) -> VerificationReport:
     if len(set(walk.arc_seq)) != len(walk.arc_seq):
         dup = next(a for a, c in Counter(walk.arc_seq).items() if c > 1)
         return VerificationReport(prop, False, witness=("repeated arc", dup))
-    visits = Counter(graph.arcs[a].tail for a in walk.arc_seq)
+    tails = list(map(operator.attrgetter("tail"), graph.arcs))
+    visits = Counter(map(tails.__getitem__, walk.arc_seq))
     for v in range(graph.num_vertices):
         if visits.get(v, 0) != b:
             return VerificationReport(

@@ -90,3 +90,13 @@ PUBLIC = [
 
 def test_public_api_is_pinned():
     assert sorted(orthoseq.__all__) == PUBLIC
+
+
+def test_render_and_parse_are_inverse_on_mixed_token_lengths():
+    # the separator is fixed per alphabet: one multi-character token spaces every word
+    alphabet = orthoseq.Alphabet(("A", "BB", "C"))
+    for word in [(0, 0), (0, 1, 2), (2,)]:
+        assert alphabet.parse(alphabet.render(word)) == word
+    assert alphabet.render((0, 2)) == "A C"
+    assert alphabet.render(()) == "-"
+    assert orthoseq.dna_alphabet().render((0, 2)) == "AC"
