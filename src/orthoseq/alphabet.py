@@ -29,9 +29,9 @@ class Alphabet:
             raise ParameterOutOfRange("alphabet tokens must be distinct")
         if not self.tokens:
             raise ParameterOutOfRange("alphabet must be nonempty")
-        for i in self.weighted:
-            if not 0 <= i < len(self.tokens):
-                raise ParameterOutOfRange(f"weighted symbol {i} out of range")
+        for i in self.weighted:  # symbol indices: a token, a float or a bool is none
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(self.tokens):
+                raise ParameterOutOfRange(f"weighted symbol {i!r} not in 0..{self.sigma - 1}")
         # fixed per alphabet, so render and parse agree on every word
         object.__setattr__(self, "_separator", "" if all(len(t) == 1 for t in self.tokens) else " ")
 

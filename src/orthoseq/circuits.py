@@ -10,6 +10,7 @@ others, subject to the result still being a single closed walk.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -41,11 +42,12 @@ class Circuit:
         object.__setattr__(self, "arc_seq", tuple(self.arc_seq))
         if not self.arc_seq:
             raise ParameterOutOfRange("empty circuit")
-        arcs = self.graph.arcs
-        seq = self.arc_seq
-        for aid, nxt in zip(seq, seq[1:] + seq[:1]):
-            if arcs[aid].head != arcs[nxt].tail:
-                raise ParameterOutOfRange(f"arc {aid} -> {nxt} is not a valid transition")
+        seq, heads, tails = self.arc_seq, self.graph.heads, self.graph.tails
+        rotated = seq[1:] + seq[:1]
+        # every transition at C speed; the first bad one is looked for only on a mismatch
+        if operator.itemgetter(*seq)(heads) != operator.itemgetter(*rotated)(tails):
+            aid, nxt = next(p for p in zip(seq, rotated) if heads[p[0]] != tails[p[1]])
+            raise ParameterOutOfRange(f"arc {aid} -> {nxt} is not a valid transition")
 
     def __len__(self) -> int:
         return len(self.arc_seq)
@@ -56,13 +58,12 @@ class Circuit:
 
     def vertex_seq(self) -> tuple[int, ...]:
         """Tail vertex of each arc, in walk order."""
-        return tuple(self.graph.arcs[a].tail for a in self.arc_seq)
+        return tuple(map(self.graph.tails.__getitem__, self.arc_seq))
 
 
 def circuit_to_word(circuit: Circuit) -> Word:
     """Concatenate arc symbols along the walk into a circular word."""
-    arcs = circuit.graph.arcs
-    return Word(tuple(arcs[a].symbol for a in circuit.arc_seq), circular=True)
+    return Word(tuple(map(circuit.graph.symbols.__getitem__, circuit.arc_seq)), circular=True)
 
 
 def word_to_circuit(word, graph: DirectedMultigraph) -> Circuit:
@@ -115,15 +116,9 @@ class Wiring:
 
 def wiring_of(vertex: int, circuit: Circuit) -> Wiring:
     """The matching induced at `vertex` by consecutive arc pairs."""
-    arcs = circuit.graph.arcs
-    seq = circuit.arc_seq
-    n = len(seq)
-    pairs = set()
-    for i, aid in enumerate(seq):
-        if arcs[aid].head == vertex:
-            pairs.add((aid, seq[(i + 1) % n]))
-    deg = circuit.graph.in_degree(vertex)
-    if len(pairs) != deg:
+    heads, seq = circuit.graph.heads, circuit.arc_seq
+    pairs = {(a, b) for a, b in zip(seq, seq[1:] + seq[:1]) if heads[a] == vertex}
+    if len(pairs) != circuit.graph.in_degree(vertex):
         raise ParameterOutOfRange(
             f"circuit does not traverse every arc at vertex {vertex} exactly once"
         )
@@ -134,37 +129,52 @@ def wiring_of(vertex: int, circuit: Circuit) -> Wiring:
 # Eulerian circuits
 
 
-def find_eulerian_circuit(graph: DirectedMultigraph) -> Circuit:
+def find_eulerian_circuit(graph: DirectedMultigraph,
+                          wiring: Optional[dict[int, int]] = None) -> Circuit:
     """Deterministic Hierholzer traversal, canonical rotation.
 
-    Raises DegreeMismatch at the first unbalanced vertex (lexicographic order)
-    and NotConnected when the arc-carrying vertices are not strongly connected:
-    once every vertex is balanced, that is exactly when the traversal from the
-    first arc-carrying vertex misses an arc.
-    """
+    `wiring` fixes the transitions at the vertices whose in-arcs it maps to
+    out-arcs, a perfect matching at each (else ParameterOutOfRange).  Arriving
+    there on arc a enters a piece of its own, the degree-1 vertex
+    `split_vertices` makes, so the walk is the split graph's, arc for arc.  Raises
+    DegreeMismatch at the first unbalanced vertex (lexicographic order)
+    outside the wiring and NotConnected when the traversal from the first
+    arc-carrying vertex misses an arc: with every vertex balanced, exactly
+    when the arc-carrying vertices are not strongly connected."""
     if graph.num_arcs == 0:
         raise ParameterOutOfRange("graph has no arcs")
-    for v in range(graph.num_vertices):
-        if graph.in_degree(v) != graph.out_degree(v):
-            raise DegreeMismatch(
-                graph.vertex_labels[v], graph.in_degree(v), graph.out_degree(v)
+    n, wiring = graph.num_vertices, wiring or {}
+    wired = [bool(ins) and ins[0] in wiring for ins in graph.in_arcs]
+    for v in itertools.compress(range(n), wired):
+        ins, outs = graph.in_arcs[v], graph.out_arcs[v]
+        if len(ins) != len(outs) or set(map(wiring.get, ins)) != set(outs):
+            raise ParameterOutOfRange(
+                f"wiring at vertex {graph.vertex_labels[v]!r} is not a perfect matching"
             )
-    start = next(v for v in range(graph.num_vertices) if graph.out_arcs[v])
-    next_idx = [0] * graph.num_vertices
-    vertex_stack = [start]
-    arc_stack: list[int] = []
-    out: list[int] = []
-    while vertex_stack:
-        v = vertex_stack[-1]
-        if next_idx[v] < len(graph.out_arcs[v]):
-            aid = graph.out_arcs[v][next_idx[v]]
-            next_idx[v] += 1
-            vertex_stack.append(graph.arcs[aid].head)
+    if sum(map(len, itertools.compress(graph.in_arcs, wired))) != len(wiring):
+        raise ParameterOutOfRange("wiring maps an arc that is no in-arc of a wired vertex")
+    unbalanced = map(operator.ne, map(len, graph.in_arcs), map(len, graph.out_arcs))
+    for v in itertools.compress(range(n), unbalanced):
+        if not wired[v]:
+            raise DegreeMismatch(graph.vertex_labels[v], graph.in_degree(v), graph.out_degree(v))
+    left = list(map(iter, graph.out_arcs))  # the out-arcs still to take at each vertex
+    enter = list(map(left.__getitem__, graph.heads))  # those where each arc leads
+    for a, o in wiring.items():  # the piece entered on a wired in-arc has one out-arc
+        enter[a] = iter((o,))
+    start = next(itertools.compress(range(n), graph.out_arcs))
+    # the split graph's first vertex: the piece of the least in-arc, if wired
+    first = enter[min(graph.in_arcs[start])] if wired[start] else left[start]
+    here, arc_stack, out = first, [], []  # `here` is the end of the walk on the stack
+    while True:
+        aid = next(here, None)
+        if aid is not None:
             arc_stack.append(aid)
+            here = enter[aid]
+        elif arc_stack:
+            out.append(arc_stack.pop())
+            here = enter[arc_stack[-1]] if arc_stack else first
         else:
-            vertex_stack.pop()
-            if arc_stack:
-                out.append(arc_stack.pop())
+            break
     if len(out) != graph.num_arcs:
         raise NotConnected("arc-carrying vertices are not strongly connected")
     out.reverse()

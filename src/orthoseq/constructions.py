@@ -15,16 +15,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .alphabet import Alphabet, LanguageSpec, Word, default_alphabet, expand_language
+from .alphabet import Alphabet, LanguageSpec, Word, default_alphabet, language_ids, words_of_ids
 from .circuits import (
     Circuit,
-    Wiring,
     circuit_to_word,
     find_eulerian_circuit,
     hamiltonian_from_eulerian,
-    merge_circuit,
     rewire_vertex_set,
-    split_vertices,
     word_to_circuit,
 )
 from .errors import (
@@ -492,24 +489,15 @@ def construct_orthogonal_balanced_kautz(
 # fixed-weight families
 
 
-def _shift_wiring(graph: DirectedMultigraph, v: int, j: int) -> Wiring:
-    """Pair the i-th in-arc (by predecessor's leading symbol) with the
-    (i+j)-th out-arc (by trailing symbol); distinct j give disjoint wirings."""
-    ins = sorted(graph.in_arcs[v], key=lambda a: graph.arc_word(a)[0])
-    outs = sorted(graph.out_arcs[v], key=lambda a: graph.arcs[a].symbol)
-    if len(ins) != len(outs):
-        raise ParameterOutOfRange("unbalanced vertex cannot be wired")
-    d = len(ins)
-    return Wiring(v, frozenset((ins[i], outs[(i + j) % d]) for i in range(d)))
-
-
 def _split_circuit_family(graph: DirectedMultigraph, m: int) -> tuple[list[Circuit], list[str]]:
-    """m pairwise compatible Eulerian circuits of a graph whose low-degree
-    vertices are handled by shift wirings (split, traverse, merge) and whose
-    full-degree (maximum-degree) vertices are separated by rewiring."""
+    """m pairwise compatible Eulerian circuits.  Member j is the traversal with
+    the shift-j wiring at every low-degree vertex, i-th in-arc to (i+j)-th
+    out-arc (ids ascend with the words: in-arcs by leading symbol, out-arcs by
+    trailing symbol), then rewired at every full-degree (maximum-degree)
+    vertex given members 0..j-1; distinct shifts give disjoint wirings."""
     if m == 1:
         return [find_eulerian_circuit(graph)], ["circuit 0: Eulerian circuit"]
-    degs = [graph.in_degree(v) for v in range(graph.num_vertices)]
+    degs = list(map(len, graph.in_arcs))
     full_degree = max(degs)
     split_set = [v for v in range(graph.num_vertices) if degs[v] < full_degree]
     if split_set and m > min(degs[v] for v in split_set):
@@ -517,10 +505,11 @@ def _split_circuit_family(graph: DirectedMultigraph, m: int) -> tuple[list[Circu
     prov: list[str] = []
     raw: list[Circuit] = []
     for j in range(m):
-        wirings = {v: _shift_wiring(graph, v, j) for v in split_set}
-        gj = split_vertices(graph, wirings) if wirings else graph
-        circ = find_eulerian_circuit(gj)
-        raw.append(merge_circuit(circ, graph) if wirings else circ)
+        wiring: dict[int, int] = {}
+        for v in split_set:
+            outs = graph.out_arcs[v]
+            wiring.update(zip(graph.in_arcs[v], outs[j:] + outs[:j]))
+        raw.append(find_eulerian_circuit(graph, wiring))
         prov.append(f"circuit {j}: shift-{j} wirings at {len(split_set)} split vertices")
     out = [raw[0]]
     middles = [v for v in range(graph.num_vertices) if degs[v] == full_degree]
@@ -528,6 +517,22 @@ def _split_circuit_family(graph: DirectedMultigraph, m: int) -> tuple[list[Circu
         out.append(rewire_vertex_set(middles, raw[j], out[:j]))
         prov.append(f"circuit {j}: rewired {len(middles)} full-degree vertices given 0..{j - 1}")
     return out, prov
+
+
+def _fixed_weight_result(family: str, parameters: dict, alphabet: Alphabet, spec: LanguageSpec,
+                         graph: DirectedMultigraph, m: int) -> ConstructionResult:
+    """The m-member family of a weight-band language's graph, certified to
+    cover the language's words, as the tuples `is_fixed_weight_db` reads."""
+    language = words_of_ids(language_ids(spec, alphabet), alphabet.sigma, graph.k)
+    circuits, prov = _split_circuit_family(graph, m)
+    words = [circuit_to_word(c) for c in circuits]
+    return _certified(
+        family, {**parameters, "W": sorted(alphabet.weighted), "sigma": alphabet.sigma},
+        alphabet, graph.k, words, circuits,
+        [verify.is_fixed_weight_db(word, language) for word in words]
+        + [verify.is_l_orthogonal(words, graph.k, 1), verify.are_compatible(circuits)],
+        prov, language_size=len(language),
+    )
 
 
 def construct_fixed_weight_orthogonal_db(
@@ -544,18 +549,9 @@ def construct_fixed_weight_orthogonal_db(
     if not 1 <= w <= k:
         raise ParameterOutOfRange(f"need 1 <= w <= k, got w={w}")
     spec = LanguageSpec("full", k, min_weight=w - 1, max_weight=w)
-    language = expand_language(spec, alphabet)
     graph = build_language_graph(spec, alphabet)
-    circuits, prov = _split_circuit_family(graph, min(n_w, n_x))
-    words = [circuit_to_word(c) for c in circuits]
-    return _certified(
-        "fixed-weight-de-bruijn",
-        {"k": k, "w": w, "W": sorted(alphabet.weighted), "sigma": alphabet.sigma},
-        alphabet, k, words, circuits,
-        [verify.is_fixed_weight_db(word, language) for word in words]
-        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)],
-        prov, language_size=len(language),
-    )
+    return _fixed_weight_result("fixed-weight-de-bruijn", {"k": k, "w": w}, alphabet, spec,
+                                graph, min(n_w, n_x))
 
 
 def fixed_weight_kautz_exists(k: int, w_min: int, w_max: int) -> bool:
@@ -589,30 +585,19 @@ def construct_fixed_weight_kautz_orthogonal(
     if not fixed_weight_kautz_exists(k, w_min, w_max):
         raise UnsupportedCase(f"no such sequence for band ({w_min},{w_max}) at k={k}")
     spec = LanguageSpec("kautz", k, min_weight=w_min, max_weight=w_max)
-    language = expand_language(spec, alphabet)
     graph = build_language_graph(spec, alphabet)
     delta = alphabet.sigma - 1
     if w_min == w_max:
         # single-class band: plain traversal of the sub-alphabet language
         m = 1
     else:
-        degs = [graph.in_degree(v) for v in range(graph.num_vertices)]
+        degs = list(map(len, graph.in_arcs))
         split_degrees = [d for d in degs if d < delta]
         m = min(min(split_degrees, default=delta), delta // 2)
         if k == 2 and not any(d == delta for d in degs):
             m = 1  # no full-degree vertex to rewire at
-    circuits, prov = _split_circuit_family(graph, m)
-    words = [circuit_to_word(c) for c in circuits]
-    parameters = {
-        "k": k, "w_min": w_min, "w_max": w_max, "W": sorted(alphabet.weighted),
-        "sigma": alphabet.sigma,
-    }
-    return _certified(
-        "fixed-weight-kautz", parameters, alphabet, k, words, circuits,
-        [verify.is_fixed_weight_db(word, language) for word in words]
-        + [verify.is_l_orthogonal(words, k, 1), verify.are_compatible(circuits)],
-        prov, language_size=len(language),
-    )
+    parameters = {"k": k, "w_min": w_min, "w_max": w_max}
+    return _fixed_weight_result("fixed-weight-kautz", parameters, alphabet, spec, graph, m)
 
 
 # ----------------------------------------------------------------------

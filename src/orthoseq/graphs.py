@@ -52,20 +52,24 @@ class DirectedMultigraph:
         self.base = base  # original graph for kind == "split"
         tails, heads, symbols = list(zip(*arc_specs)) or ((), (), ())
         index = self.vertex_index.__getitem__
-        self._set_arcs(list(map(index, tails)), list(map(index, heads)), symbols)
+        self._set_arcs(map(index, tails), map(index, heads), symbols)
         self._signature: Optional[str] = None
 
-    def _set_arcs(self, tails: list[int], heads: list[int], symbols: Sequence) -> None:
-        """Arcs 0..m-1 from their tail and head vertex ids and their symbols."""
-        fields = zip(range(len(tails)), tails, heads, symbols)
+    def _set_arcs(self, tails: Iterable[int], heads: Iterable[int], symbols: Iterable,
+                  adjacency: Optional[tuple] = None) -> None:
+        """Arcs 0..m-1 from their tail and head vertex ids and their symbols, each
+        field also a tuple read by arc id; (out_arcs, in_arcs) unless given."""
+        self.tails, self.heads, self.symbols = tuple(tails), tuple(heads), tuple(symbols)
+        fields = zip(range(len(self.tails)), self.tails, self.heads, self.symbols)
         self.arcs: tuple[Arc, ...] = tuple(map(tuple.__new__, itertools.repeat(Arc), fields))
-        out_lists: list[list[int]] = [[] for _ in self.vertex_labels]
-        in_lists: list[list[int]] = [[] for _ in self.vertex_labels]
-        for aid, (tail, head) in enumerate(zip(tails, heads)):
-            out_lists[tail].append(aid)
-            in_lists[head].append(aid)
-        self.out_arcs: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
-        self.in_arcs: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
+        if adjacency is None:
+            out_lists: list[list[int]] = [[] for _ in self.vertex_labels]
+            in_lists: list[list[int]] = [[] for _ in self.vertex_labels]
+            for aid, (tail, head) in enumerate(zip(self.tails, self.heads)):
+                out_lists[tail].append(aid)
+                in_lists[head].append(aid)
+            adjacency = tuple(map(tuple, out_lists)), tuple(map(tuple, in_lists))
+        self.out_arcs, self.in_arcs = adjacency  # tuples of arc-id tuples, ascending
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -88,9 +92,7 @@ class DirectedMultigraph:
         """The k-word an arc stands for (word graphs only)."""
         if self.kind == "split":
             return self.base.arc_word(arc_id)
-        a = self.arcs[arc_id]
-        tail_lab = self.vertex_labels[a.tail]
-        return tuple(tail_lab) + (a.symbol,)
+        return tuple(self.vertex_labels[self.tails[arc_id]]) + (self.symbols[arc_id],)
 
     def arc_id_of_word(self, entries: Sequence[int]) -> int:
         """Inverse of :meth:`arc_word`: the word's base-sigma value on a full de
@@ -100,9 +102,12 @@ class DirectedMultigraph:
             if len(word) != self.k or not all(s in range(self.sigma) for s in word):
                 raise KeyError(word)
             return int(mixed_radix_join([(s,) for s in word], [self.sigma] * self.k)[0])
+        if self.kind == "split":  # arc ids are the base graph's
+            return self.base.arc_id_of_word(word)
         cache = getattr(self, "_word_to_arc", None)
-        if cache is None:
-            cache = {self.arc_word(a.id): a.id for a in self.arcs}
+        if cache is None:  # arc_word of every arc: the tail's label plus the symbol
+            prefixes = map(list(map(tuple, self.vertex_labels)).__getitem__, self.tails)
+            cache = dict(zip(map(operator.add, prefixes, zip(self.symbols)), range(self.num_arcs)))
             self._word_to_arc = cache
         try:
             return cache[word]
@@ -207,10 +212,10 @@ def build_de_bruijn_graph(sigma: int, k: int) -> DirectedMultigraph:
     n = g.num_vertices
     # arc id = word value: tail = id // sigma (prefix), head = id mod n (suffix)
     tails = itertools.chain.from_iterable(map(itertools.repeat, range(n), itertools.repeat(sigma)))
-    fields = zip(range(n * sigma), tails, itertools.cycle(range(n)), itertools.cycle(range(sigma)))
-    g.arcs = tuple(map(tuple.__new__, itertools.repeat(Arc), fields))  # Arc(*f), at C speed
-    g.out_arcs = tuple(tuple(range(v * sigma, (v + 1) * sigma)) for v in range(n))
-    g.in_arcs = tuple(tuple(range(v, n * sigma, n)) for v in range(n))
+    g._set_arcs(tails, tuple(range(n)) * sigma, tuple(range(sigma)) * n, (
+        tuple(tuple(range(v * sigma, (v + 1) * sigma)) for v in range(n)),
+        tuple(tuple(range(v, n * sigma, n)) for v in range(n)),
+    ))
     g.full_de_bruijn = True
     return g
 
@@ -256,8 +261,8 @@ def build_language_graph(spec: LanguageSpec, alphabet: Alphabet) -> DirectedMult
     g = DirectedMultigraph(words_of_ids(vertices, sigma, k - 1), (), kind="restricted",
                            sigma=sigma, k=k)
     index = dict(zip(vertices, range(len(vertices)))).__getitem__
-    g._set_arcs(list(map(index, tails)), list(map(index, heads)),
-                list(map(operator.mod, ids, itertools.repeat(sigma))))
+    g._set_arcs(map(index, tails), map(index, heads),
+                map(operator.mod, ids, itertools.repeat(sigma)))
     return g
 
 

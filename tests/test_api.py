@@ -5,7 +5,10 @@ Adding or removing a top-level export shows here as a one-line diff.
 
 from __future__ import annotations
 
+import pytest
+
 import orthoseq
+from orthoseq.errors import ParameterOutOfRange
 
 PUBLIC = [
     "Alphabet",
@@ -100,3 +103,12 @@ def test_render_and_parse_are_inverse_on_mixed_token_lengths():
     assert alphabet.render((0, 2)) == "A C"
     assert alphabet.render(()) == "-"
     assert orthoseq.dna_alphabet().render((0, 2)) == "AC"
+
+
+@pytest.mark.parametrize("weighted", [{"C"}, {1.5}, {2.0}, {True}, {4}, {-1}])
+def test_weighted_entries_must_be_symbol_indices(weighted):
+    # a token, a float or a bool is no symbol index: {1.5} would otherwise give
+    # a weighted class that holds no symbol, and {True} would stand for {1}
+    with pytest.raises(ParameterOutOfRange):
+        orthoseq.Alphabet(("A", "T", "C", "G"), frozenset(weighted))
+    assert orthoseq.Alphabet(("A", "T", "C", "G"), frozenset({0, 3})).weighted == {0, 3}

@@ -359,6 +359,29 @@ def test_split_rejects_non_matching():
         split_vertices(g, {0: bad})
 
 
+@pytest.mark.parametrize("bad", [
+    lambda g: {g.in_arcs[0][0]: g.out_arcs[0][0]},  # one in-arc of three
+    lambda g: dict.fromkeys(g.in_arcs[0], g.out_arcs[0][0]),  # one out-arc for all
+    lambda g: dict(zip(g.in_arcs[0], g.out_arcs[1])),  # out-arcs of another vertex
+    lambda g: {**dict(zip(g.in_arcs[0], g.out_arcs[0])), -1: g.out_arcs[2][0]},  # no arc id
+    lambda g: {g.num_arcs: 0},  # past the last arc
+])
+def test_wired_traversal_rejects_a_wiring_that_is_no_perfect_matching(bad):
+    g = build_de_bruijn_graph(3, 2)
+    with pytest.raises(ParameterOutOfRange):
+        find_eulerian_circuit(g, bad(g))
+
+
+def test_a_wiring_that_closes_a_cycle_early_is_not_connected():
+    g = build_de_bruijn_graph(2, 2)  # vertex 0 has the loop 00 and the arc 01
+    loop, away = g.out_arcs[0]
+    pairs = {(loop, loop), (g.in_arcs[0][1], away)}  # the loop wired back to itself
+    with pytest.raises(NotConnected):
+        find_eulerian_circuit(g, dict(pairs))
+    with pytest.raises(NotConnected):  # and so is the split graph
+        find_eulerian_circuit(split_vertices(g, {0: Wiring(0, frozenset(pairs))}))
+
+
 # ----------------------------------------------------------------------
 # Hamiltonian lift
 

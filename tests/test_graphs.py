@@ -12,12 +12,19 @@ import itertools
 
 import pytest
 
-from orthoseq.alphabet import LanguageSpec, dna_alphabet, expand_language
-from orthoseq.circuits import circuit_to_word, find_eulerian_circuit, word_to_circuit
+from orthoseq.alphabet import LanguageSpec, default_alphabet, dna_alphabet, expand_language
+from orthoseq.circuits import (
+    Wiring,
+    circuit_to_word,
+    find_eulerian_circuit,
+    split_vertices,
+    word_to_circuit,
+)
 from orthoseq.errors import ParameterOutOfRange
 from orthoseq.graphs import (
     build_de_bruijn_graph,
     build_kautz_graph,
+    build_language_graph,
     build_restricted_graph,
     mixed_radix_join,
     tensor_product,
@@ -55,7 +62,7 @@ def test_arithmetic_de_bruijn_graph_equals_the_generic_build(sigma, k):
         itertools.product(range(sigma), repeat=k), kind="de_bruijn", sigma=sigma
     )
     for attr in ("vertex_labels", "vertex_index", "arcs", "in_arcs", "out_arcs", "signature",
-                 "kind", "sigma", "k"):
+                 "kind", "sigma", "k", "tails", "heads", "symbols"):
         assert getattr(fast, attr) == getattr(generic, attr), attr
     assert fast.full_de_bruijn and not generic.full_de_bruijn
     assert all(a.id == sum(s * sigma**i for i, s in enumerate(reversed(fast.arc_word(a.id))))
@@ -158,15 +165,47 @@ def test_restricted_graph_band_two_three():
         assert 2 <= w <= 3
 
 
-def test_split_separates_in_out_pairs():
-    from orthoseq.circuits import split_vertices
-    from orthoseq.constructions import _shift_wiring
+LANGUAGE_ALPHABETS = [DNA, default_alphabet(5, (0, 3)), default_alphabet(6, (1, 2, 5))]
 
+
+@pytest.mark.parametrize("alphabet", LANGUAGE_ALPHABETS, ids=lambda a: "".join(a.tokens))
+@pytest.mark.parametrize("kind", ["full", "kautz"])
+def test_language_graph_arcs_ascend_with_their_words_at_every_vertex(alphabet, kind):
+    # the shift wirings pair in-arcs in order of their leading symbols with
+    # out-arcs in order of their trailing symbols, reading both off the arc ids
+    for k in range(2, 6):
+        for lo, hi in itertools.combinations_with_replacement(range(k + 1), 2):
+            try:
+                g = build_language_graph(LanguageSpec(kind, k, lo, hi), alphabet)
+            except ParameterOutOfRange:  # an empty language
+                continue
+            for v in range(g.num_vertices):
+                leading = [g.arc_word(a)[0] for a in g.in_arcs[v]]
+                trailing = [g.arcs[a].symbol for a in g.out_arcs[v]]
+                assert leading == sorted(set(leading)) and trailing == sorted(set(trailing))
+
+
+def test_word_lookup_on_table_built_graphs_inverts_arc_word():
+    spec = LanguageSpec("kautz", 4, min_weight=1, max_weight=3)
+    product = tensor_product(build_de_bruijn_graph(2, 2), build_kautz_graph(3, 2))
+    for g in (build_kautz_graph(4, 3), build_language_graph(spec, DNA), product):
+        ids = range(g.num_arcs)
+        assert [g.arc_id_of_word(g.arc_word(a)) for a in ids] == list(ids)
+        assert len(g._word_to_arc) == g.num_arcs
+    g = build_kautz_graph(4, 2)
+    split = split_vertices(g, {0: Wiring(0, frozenset(zip(g.in_arcs[0], g.out_arcs[0])))})
+    assert split.arc_id_of_word((1, 0)) == g.arc_id_of_word((1, 0))  # asked of the base
+    with pytest.raises(KeyError):
+        split.arc_id_of_word((0, 0))
+
+
+def test_split_separates_in_out_pairs():
     language = expand_language(LanguageSpec("full", 4, min_weight=2, max_weight=3), DNA)
     g = build_restricted_graph(language)
     caa = vertex(g, "CAA")
     assert g.in_degree(caa) == 2
-    split = split_vertices(g, {caa: _shift_wiring(g, caa, 0)})
+    shift0 = frozenset(zip(g.in_arcs[caa], g.out_arcs[caa]))  # as the fixed-weight families wire
+    split = split_vertices(g, {caa: Wiring(caa, shift0)})
     # the shift-0 wiring routes CCAA -> CAAC and GCAA -> CAAG
     def arc(text: str) -> int:
         return g.arc_id_of_word(DNA.parse(text))

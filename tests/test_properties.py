@@ -18,6 +18,9 @@ Invariants checked on randomized inputs:
   cycle through the segments that avoids every ban, and cycle joining's
   matching is perfect and avoids them too
 * a circuit survives a split/merge round trip through any of its wirings
+* a traversal with wirings fixed at random vertices walks exactly as the
+  split graph's traversal mapped back, including NotConnected when the
+  wirings break the walk into several cycles
 * the digit bijection between one big alphabet and a pair of factors is
   invertible entrywise, and the stream join equals its symbol-by-symbol loop
 * arithmetic arc ids on the full de Bruijn graph equal the word lookup, for
@@ -38,6 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 import orthoseq.circuits as circuits
 from orthoseq.circuits import (
     Circuit,
+    Wiring,
     _matching,
     _rewire_search,
     circuit_to_word,
@@ -261,6 +265,39 @@ def test_split_merge_round_trip(sigma, vertex):
     )
     assert wiring_of(v, merged) == target
     assert is_de_bruijn(word_of(merged), sigma=sigma, k=2).holds
+
+
+def traversal_outcome(walk):
+    """The arc sequence a traversal returns, or NotConnected if it raises that."""
+    try:
+        return walk().arc_seq
+    except NotConnected:
+        return NotConnected
+
+
+@given(graph=balanced_multigraphs(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_wired_traversal_walks_the_split_graph(graph, data):
+    """A wired traversal is the split graph's traversal mapped back, arc for
+    arc, and both raise NotConnected when the wiring leaves more than one
+    cycle."""
+    carrying = [v for v in range(graph.num_vertices) if graph.in_arcs[v]]
+    chosen = set(data.draw(st.lists(st.sampled_from(carrying), max_size=len(carrying))))
+    if 0 in carrying and data.draw(st.booleans()):
+        chosen.add(0)  # the first vertex: the walk starts on one of its pieces
+    wiring = {}
+    for v in sorted(chosen):
+        wiring.update(zip(graph.in_arcs[v], data.draw(st.permutations(graph.out_arcs[v]))))
+    wirings = {
+        v: Wiring(v, frozenset((a, wiring[a]) for a in graph.in_arcs[v])) for v in chosen
+    }
+    expected = traversal_outcome(
+        lambda: merge_circuit(find_eulerian_circuit(split_vertices(graph, wirings)), graph)
+    )
+    assert traversal_outcome(lambda: find_eulerian_circuit(graph, wiring)) == expected
+    if expected is not NotConnected:
+        circuit = find_eulerian_circuit(graph, wiring)
+        assert all(wiring_of(v, circuit) == wirings[v] for v in chosen)
 
 
 @given(
