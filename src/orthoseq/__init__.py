@@ -67,7 +67,6 @@ from .errors import (
     UnsupportedCase,
 )
 from .graphs import (
-    Arc,
     DirectedMultigraph,
     build_de_bruijn_graph,
     build_kautz_graph,

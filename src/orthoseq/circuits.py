@@ -553,27 +553,21 @@ def split_vertices(
             raise ParameterOutOfRange(
                 f"wiring at vertex {graph.vertex_labels[v]!r} is not a perfect matching"
             )
-    in_piece: dict[int, tuple] = {}
-    out_piece: dict[int, tuple] = {}
     new_labels: list = []
+    new_id: list = []  # of each vertex, or of its first piece
     for v, lab in enumerate(graph.vertex_labels):
-        if v not in wirings:
-            new_labels.append(lab)
-            continue
-        for j, (i, o) in enumerate(sorted(wirings[v].pairs)):
-            piece = (lab, j)
-            new_labels.append(piece)
-            in_piece[i] = piece
-            out_piece[o] = piece
-    arc_specs = []
-    for a in graph.arcs:
-        tail = out_piece[a.id] if a.tail in wirings else graph.vertex_labels[a.tail]
-        head = in_piece[a.id] if a.head in wirings else graph.vertex_labels[a.head]
-        arc_specs.append((tail, head, a.symbol))
+        new_id.append(len(new_labels))
+        new_labels += [(lab, j) for j in range(len(wirings[v].pairs))] if v in wirings else [lab]
+    tails = list(map(new_id.__getitem__, graph.tails))
+    heads = list(map(new_id.__getitem__, graph.heads))
+    for v, w in wirings.items():  # piece j of a wired vertex carries its j-th pair
+        for piece, (i, o) in enumerate(sorted(w.pairs), new_id[v]):
+            heads[i] = tails[o] = piece
     base = graph.base if graph.kind == "split" else graph
-    return DirectedMultigraph(
-        new_labels, arc_specs, kind="split", sigma=graph.sigma, k=graph.k, base=base
-    )
+    split = DirectedMultigraph(new_labels, (), kind="split", sigma=graph.sigma, k=graph.k,
+                               base=base)
+    split._set_arcs(tails, heads, graph.symbols)
+    return split
 
 
 def merge_circuit(circuit: Circuit, original: DirectedMultigraph) -> Circuit:
@@ -599,8 +593,14 @@ def hamiltonian_from_eulerian(circuit: Circuit, lifted: DirectedMultigraph) -> C
     if len(circuit) != g.num_arcs:
         raise ParameterOutOfRange("circuit is not Eulerian")
     seq = circuit.arc_seq
-    words = (g.arc_word(a) + (g.arcs[b].symbol,) for a, b in zip(seq, seq[1:] + seq[:1]))
-    ham = Circuit(lifted, tuple(map(lifted.arc_id_of_word, words)))
+    # the lifted word of arcs a, b in turn is a's word plus b's symbol
+    nxt = map(g.symbols.__getitem__, seq[1:] + seq[:1])
+    words = list(map(operator.add, map(g.arc_words().__getitem__, seq), zip(nxt)))
+    ids = tuple(map(lifted.arc_id_lookup().get, words))
+    if None in ids:
+        word = words[ids.index(None)]
+        raise ParameterOutOfRange(f"lifted word {word!r} is not an arc of the lifted graph")
+    ham = Circuit(lifted, ids)
     if len(set(ham.vertex_seq())) != lifted.num_vertices:
         raise ParameterOutOfRange("lift did not visit every vertex once")
     return ham

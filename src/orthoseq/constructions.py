@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .alphabet import Alphabet, LanguageSpec, Word, default_alphabet, language_ids, words_of_ids
+from .alphabet import Alphabet, LanguageSpec, Word, default_alphabet
 from .circuits import (
     Circuit,
     circuit_to_word,
@@ -321,10 +321,11 @@ def insert_loop(circuit: Circuit, vertex_entries: tuple) -> Circuit:
     g = circuit.graph
     loop_id = g.arc_id_of_word(tuple(vertex_entries) + (vertex_entries[-1],))
     v = g.vertex_index[tuple(vertex_entries)]
-    for pos, aid in enumerate(circuit.arc_seq):
-        if g.arcs[aid].tail == v:
-            return Circuit(g, circuit.arc_seq[:pos] + (loop_id,) + circuit.arc_seq[pos:])
-    raise ParameterOutOfRange(f"walk never visits vertex {vertex_entries}")
+    visits = circuit.vertex_seq()
+    if v not in visits:
+        raise ParameterOutOfRange(f"walk never visits vertex {vertex_entries}")
+    pos = visits.index(v)
+    return Circuit(g, circuit.arc_seq[:pos] + (loop_id,) + circuit.arc_seq[pos:])
 
 
 def build_b_circuit(tau: int, b: int, cycles: Sequence[Circuit]) -> Circuit:
@@ -353,17 +354,18 @@ def combine_closed_walks(walks: Sequence[Circuit]) -> Circuit:
     if not walks:
         raise ParameterOutOfRange("need at least one walk")
     g = walks[0].graph
-    result = list(walks[0].arc_seq)
+    result, visits = list(walks[0].arc_seq), list(walks[0].vertex_seq())
     for w in walks[1:]:
         if w.graph is not g:
             raise ParameterOutOfRange("walks live on different graphs")
-        wtails = {g.arcs[a].tail for a in w.arc_seq}
-        pos = next((i for i, a in enumerate(result) if g.arcs[a].tail in wtails), None)
+        wvisits = w.vertex_seq()
+        shared = map(set(wvisits).__contains__, visits)
+        pos = next(itertools.compress(itertools.count(), shared), None)
         if pos is None:
             raise ParameterOutOfRange("closed walks share no vertex")
-        shared = g.arcs[result[pos]].tail
-        q = next(i for i, a in enumerate(w.arc_seq) if g.arcs[a].tail == shared)
-        result[pos:pos] = list(w.arc_seq[q:] + w.arc_seq[:q])
+        q = wvisits.index(visits[pos])
+        result[pos:pos] = w.arc_seq[q:] + w.arc_seq[:q]
+        visits[pos:pos] = wvisits[q:] + wvisits[:q]
     return Circuit(g, tuple(result))
 
 
@@ -519,11 +521,11 @@ def _split_circuit_family(graph: DirectedMultigraph, m: int) -> tuple[list[Circu
     return out, prov
 
 
-def _fixed_weight_result(family: str, parameters: dict, alphabet: Alphabet, spec: LanguageSpec,
+def _fixed_weight_result(family: str, parameters: dict, alphabet: Alphabet,
                          graph: DirectedMultigraph, m: int) -> ConstructionResult:
     """The m-member family of a weight-band language's graph, certified to
-    cover the language's words, as the tuples `is_fixed_weight_db` reads."""
-    language = words_of_ids(language_ids(spec, alphabet), alphabet.sigma, graph.k)
+    cover the language's words: the graph's arc words, one per arc."""
+    language = graph.arc_words()
     circuits, prov = _split_circuit_family(graph, m)
     words = [circuit_to_word(c) for c in circuits]
     return _certified(
@@ -550,8 +552,8 @@ def construct_fixed_weight_orthogonal_db(
         raise ParameterOutOfRange(f"need 1 <= w <= k, got w={w}")
     spec = LanguageSpec("full", k, min_weight=w - 1, max_weight=w)
     graph = build_language_graph(spec, alphabet)
-    return _fixed_weight_result("fixed-weight-de-bruijn", {"k": k, "w": w}, alphabet, spec,
-                                graph, min(n_w, n_x))
+    return _fixed_weight_result("fixed-weight-de-bruijn", {"k": k, "w": w}, alphabet, graph,
+                                min(n_w, n_x))
 
 
 def fixed_weight_kautz_exists(k: int, w_min: int, w_max: int) -> bool:
@@ -597,7 +599,7 @@ def construct_fixed_weight_kautz_orthogonal(
         if k == 2 and not any(d == delta for d in degs):
             m = 1  # no full-degree vertex to rewire at
     parameters = {"k": k, "w_min": w_min, "w_max": w_max}
-    return _fixed_weight_result("fixed-weight-kautz", parameters, alphabet, spec, graph, m)
+    return _fixed_weight_result("fixed-weight-kautz", parameters, alphabet, graph, m)
 
 
 # ----------------------------------------------------------------------

@@ -13,21 +13,16 @@ import itertools
 import json
 import math
 import operator
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .alphabet import Alphabet, LanguageSpec, as_entries, language_ids, words_of_ids
 from .errors import ParameterOutOfRange
 
 
-class Arc(NamedTuple):
-    id: int
-    tail: int
-    head: int
-    symbol: object  # int for word graphs, tuple of ints for tensor products
-
-
 class DirectedMultigraph:
-    """Immutable-by-convention directed multigraph with dense arc ids."""
+    """Immutable-by-convention directed multigraph with dense arc ids: its
+    vertex labels plus three tuples read by arc id, `tails` and `heads`
+    (vertex ids) and `symbols` (ints, or pairs on a tensor product)."""
 
     # set only by build_de_bruijn_graph: every sigma^k word is an arc, and an
     # arc's id is its word's base-sigma value
@@ -57,11 +52,9 @@ class DirectedMultigraph:
 
     def _set_arcs(self, tails: Iterable[int], heads: Iterable[int], symbols: Iterable,
                   adjacency: Optional[tuple] = None) -> None:
-        """Arcs 0..m-1 from their tail and head vertex ids and their symbols, each
-        field also a tuple read by arc id; (out_arcs, in_arcs) unless given."""
+        """Arcs 0..m-1 from their tail and head vertex ids and their symbols;
+        (out_arcs, in_arcs) unless given."""
         self.tails, self.heads, self.symbols = tuple(tails), tuple(heads), tuple(symbols)
-        fields = zip(range(len(self.tails)), self.tails, self.heads, self.symbols)
-        self.arcs: tuple[Arc, ...] = tuple(map(tuple.__new__, itertools.repeat(Arc), fields))
         if adjacency is None:
             out_lists: list[list[int]] = [[] for _ in self.vertex_labels]
             in_lists: list[list[int]] = [[] for _ in self.vertex_labels]
@@ -80,7 +73,7 @@ class DirectedMultigraph:
 
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.tails)
 
     def out_degree(self, v: int) -> int:
         return len(self.out_arcs[v])
@@ -94,23 +87,31 @@ class DirectedMultigraph:
             return self.base.arc_word(arc_id)
         return tuple(self.vertex_labels[self.tails[arc_id]]) + (self.symbols[arc_id],)
 
+    def arc_words(self) -> list[tuple]:
+        """:meth:`arc_word` of every arc, by arc id."""
+        if self.kind == "split":
+            return self.base.arc_words()
+        labels = list(map(tuple, self.vertex_labels))
+        return list(map(operator.add, map(labels.__getitem__, self.tails), zip(self.symbols)))
+
+    def arc_id_lookup(self) -> dict:
+        """Word -> arc id over every arc (a split graph's are its base's)."""
+        if self.kind == "split":
+            return self.base.arc_id_lookup()
+        if not hasattr(self, "_word_to_arc"):  # built on first use only
+            self._word_to_arc = dict(zip(self.arc_words(), range(self.num_arcs)))
+        return self._word_to_arc
+
     def arc_id_of_word(self, entries: Sequence[int]) -> int:
         """Inverse of :meth:`arc_word`: the word's base-sigma value on a full de
-        Bruijn graph, otherwise a lookup built lazily.  KeyError for a non-word."""
+        Bruijn graph, otherwise :meth:`arc_id_lookup`.  KeyError for a non-word."""
         word = tuple(entries)
         if self.full_de_bruijn:  # `in range` compares by ==, as the lookup's keys do
             if len(word) != self.k or not all(s in range(self.sigma) for s in word):
                 raise KeyError(word)
             return int(mixed_radix_join([(s,) for s in word], [self.sigma] * self.k)[0])
-        if self.kind == "split":  # arc ids are the base graph's
-            return self.base.arc_id_of_word(word)
-        cache = getattr(self, "_word_to_arc", None)
-        if cache is None:  # arc_word of every arc: the tail's label plus the symbol
-            prefixes = map(list(map(tuple, self.vertex_labels)).__getitem__, self.tails)
-            cache = dict(zip(map(operator.add, prefixes, zip(self.symbols)), range(self.num_arcs)))
-            self._word_to_arc = cache
         try:
-            return cache[word]
+            return self.arc_id_lookup()[word]
         except TypeError:  # an unhashable symbol: no word either
             raise KeyError(word) from None
 
@@ -122,7 +123,7 @@ class DirectedMultigraph:
                 {
                     "kind": self.kind,
                     "vertices": [repr(lab) for lab in self.vertex_labels],
-                    "arcs": [(a.tail, a.head, repr(a.symbol)) for a in self.arcs],
+                    "arcs": list(zip(self.tails, self.heads, map(repr, self.symbols))),
                 },
                 separators=(",", ":"),
             )
@@ -151,11 +152,10 @@ class DirectedMultigraph:
         lines = [f"digraph \"{name}\" {{"]
         for v in range(self.num_vertices):
             lines.append(f"  v{v} [label=\"{self.render_vertex(v, alphabet)}\"];")
-        for a in self.arcs:
-            sym = a.symbol
-            if alphabet is not None and isinstance(sym, int):
-                sym = alphabet.render((sym,))
-            lines.append(f"  v{a.tail} -> v{a.head} [label=\"{sym}\"];")
+        symbols = self.symbols
+        if alphabet is not None:
+            symbols = [alphabet.render((s,)) if isinstance(s, int) else s for s in symbols]
+        lines += map("  v{} -> v{} [label=\"{}\"];".format, self.tails, self.heads, symbols)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -170,13 +170,8 @@ class DirectedMultigraph:
                 for v in range(self.num_vertices)
             ],
             "arcs": [
-                {
-                    "id": a.id,
-                    "tail": a.tail,
-                    "head": a.head,
-                    "symbol": a.symbol if isinstance(a.symbol, int) else list(a.symbol),
-                }
-                for a in self.arcs
+                {"id": a, "tail": t, "head": h, "symbol": s if isinstance(s, int) else list(s)}
+                for a, t, h, s in zip(itertools.count(), self.tails, self.heads, self.symbols)
             ],
         }
 
@@ -271,22 +266,17 @@ def build_language_graph(spec: LanguageSpec, alphabet: Alphabet) -> DirectedMult
 
 
 def tensor_product(g1: DirectedMultigraph, g2: DirectedMultigraph) -> DirectedMultigraph:
-    """Arc-pair product: vertices V1 x V2, one arc per pair of arcs."""
-    labels = [
-        (l1, l2) for l1 in g1.vertex_labels for l2 in g2.vertex_labels
-    ]
-    arc_specs = []
-    for a1 in g1.arcs:
-        for a2 in g2.arcs:
-            tail = (g1.vertex_labels[a1.tail], g2.vertex_labels[a2.tail])
-            head = (g1.vertex_labels[a1.head], g2.vertex_labels[a2.head])
-            arc_specs.append((tail, head, (a1.symbol, a2.symbol)))
-    g = DirectedMultigraph(labels, arc_specs, kind="product")
+    """Tensor product: vertices V1 x V2, one arc per pair of arcs.  Vertex
+    (v1, v2) has id v1*|V2| + v2 and arc pair (a1, a2) id a1*|A2| + a2."""
+    g = DirectedMultigraph(itertools.product(g1.vertex_labels, g2.vertex_labels), (),
+                           kind="product")
+    n2 = g2.num_vertices
+    g._set_arcs([n2 * t1 + t2 for t1 in g1.tails for t2 in g2.tails],
+                [n2 * h1 + h2 for h1 in g1.heads for h2 in g2.heads],
+                itertools.product(g1.symbols, g2.symbols))
     g.factors = (g1, g2)
-    # dense pair -> product arc id lookup, in construction order
-    g.pair_to_arc = {
-        (a1.id, a2.id): a1.id * g2.num_arcs + a2.id for a1 in g1.arcs for a2 in g2.arcs
-    }
+    pairs = itertools.product(range(g1.num_arcs), range(g2.num_arcs))
+    g.pair_to_arc = dict(zip(pairs, range(g.num_arcs)))
     return g
 
 

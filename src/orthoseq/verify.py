@@ -224,7 +224,7 @@ def are_compatible(circuits: Sequence, ell: int = 1) -> VerificationReport:
     if max(use.values()) > ell:
         g = circuits[0].graph
         bad = sorted(
-            ((g.arcs[a_in].head, a_in, a_out), cnt)
+            ((g.heads[a_in], a_in, a_out), cnt)
             for (a_in, a_out), cnt in use.items()
             if cnt > ell
         )
@@ -256,8 +256,7 @@ def is_b_circuit(walk, graph, b: int) -> VerificationReport:
     if len(set(walk.arc_seq)) != len(walk.arc_seq):
         dup = next(a for a, c in Counter(walk.arc_seq).items() if c > 1)
         return VerificationReport(prop, False, witness=("repeated arc", dup))
-    tails = list(map(operator.attrgetter("tail"), graph.arcs))
-    visits = Counter(map(tails.__getitem__, walk.arc_seq))
+    visits = Counter(map(graph.tails.__getitem__, walk.arc_seq))
     for v in range(graph.num_vertices):
         if visits.get(v, 0) != b:
             return VerificationReport(

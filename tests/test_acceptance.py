@@ -177,7 +177,7 @@ def test_criterion_3_balanced_collections():
 def _product_word(circuit) -> tuple[int, ...]:
     g1, g2 = circuit.graph.factors
     return tuple(
-        g1.arcs[aid // g2.num_arcs].symbol * g2.sigma + g2.arcs[aid % g2.num_arcs].symbol
+        g1.symbols[aid // g2.num_arcs] * g2.sigma + g2.symbols[aid % g2.num_arcs]
         for aid in circuit.arc_seq
     )
 

@@ -12,7 +12,6 @@ from orthoseq.errors import ParameterOutOfRange
 
 PUBLIC = [
     "Alphabet",
-    "Arc",
     "CertificationError",
     "Circuit",
     "ConstructionResult",

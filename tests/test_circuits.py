@@ -165,9 +165,9 @@ def test_degree_three_rewire_reverses_the_segment_order(graph):
     circuit = find_eulerian_circuit(graph)
     for v in range(graph.num_vertices):
         seq = circuit.arc_seq
-        cut = max(p for p, a in enumerate(seq) if graph.arcs[a].head == v) + 1
+        cut = max(p for p, a in enumerate(seq) if graph.heads[a] == v) + 1
         seq = seq[cut:] + seq[:cut]  # the walk now ends on its last arrival at v
-        i, j, _ = [p + 1 for p, a in enumerate(seq) if graph.arcs[a].head == v]
+        i, j, _ = [p + 1 for p, a in enumerate(seq) if graph.heads[a] == v]
         s0, s1, s2 = seq[:i], seq[i:j], seq[j:]
         expected = Circuit(graph, s0 + s2 + s1).canonical()
         assert rewire(v, circuit).canonical() == expected
@@ -304,7 +304,7 @@ def test_a_mixed_degree_block_reverses_its_degree_three_vertices_and_joins_the_r
         walk = [before.arc_seq[0]]
         while len(walk) < g.num_arcs:
             walk.append(succ[walk[-1]])
-        ins = [a for a in walk if g.arcs[a].head == v]
+        ins = [a for a in walk if g.heads[a] == v]
         reversed_order = {(a, succ[b]) for a, b in zip(ins, ins[1:] + ins[:1])}
         assert wiring_of(v, after).pairs == reversed_order
         succ.update(reversed_order)
@@ -410,3 +410,9 @@ def test_kautz_word_lifts_to_known_vertex_cycle():
     assert labels[start:] + labels[:start] == [
         "AT", "TC", "CG", "GA", "AG", "GC", "CT", "TG", "GT", "TA", "AC", "CA",
     ]
+
+
+def test_lift_onto_a_graph_without_the_lifted_words_is_a_typed_error():
+    euler = find_eulerian_circuit(build_de_bruijn_graph(3, 2))
+    with pytest.raises(ParameterOutOfRange, match=r"\(0, 0, 1\)"):
+        hamiltonian_from_eulerian(euler, build_kautz_graph(3, 3))

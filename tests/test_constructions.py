@@ -425,7 +425,7 @@ def _product_word(circuit) -> tuple[int, ...]:
     out = []
     for aid in circuit.arc_seq:
         a1, a2 = divmod(aid, g2.num_arcs)
-        out.append(g1.arcs[a1].symbol * g2.sigma + g2.arcs[a2].symbol)
+        out.append(g1.symbols[a1] * g2.sigma + g2.symbols[a2])
     return tuple(out)
 
 
@@ -588,6 +588,29 @@ def test_fixed_weight_kautz_rejects_infeasible_band():
         construct_fixed_weight_kautz_orthogonal(DNA, 3, 1, 1)
     with pytest.raises(ParameterOutOfRange):
         construct_fixed_weight_kautz_orthogonal(default_alphabet(4, weighted=(3,)), 3, 0, 2)
+
+
+@pytest.mark.parametrize("params", [
+    dict(family="fixed-weight-de-bruijn", alphabet=DNA, k=5, weight=2),
+    dict(family="fixed-weight-kautz", alphabet=DNA, k=4, weight_band=(1, 3)),
+    dict(family="fixed-weight-kautz", alphabet=DNA, k=3, weight_band=(3, 3)),
+])
+def test_fixed_weight_request_expands_its_language_once(params, monkeypatch):
+    import orthoseq
+
+    calls = []
+    expand = orthoseq.alphabet.language_ids
+
+    def counted(spec, alphabet):
+        calls.append(spec)
+        return expand(spec, alphabet)
+
+    for module in (orthoseq.alphabet, orthoseq.graphs, orthoseq.constructions):
+        if hasattr(module, "language_ids"):
+            monkeypatch.setattr(module, "language_ids", counted)
+    result = construct(OrthogonalCollectionRequest(**params))
+    assert len(calls) == 1
+    assert result.info["language_size"] == len(result.words[0])
 
 
 # ----------------------------------------------------------------------

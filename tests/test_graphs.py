@@ -8,7 +8,9 @@ constructions (who points at whom, and which vertices are unbalanced).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -49,7 +51,7 @@ def test_de_bruijn_graph_counts(sigma, k):
     for v in range(g.num_vertices):
         assert g.in_degree(v) == sigma
         assert g.out_degree(v) == sigma
-    assert sum(a.tail == a.head for a in g.arcs) == sigma
+    assert sum(t == h for t, h in zip(g.tails, g.heads)) == sigma
     assert sorted(find_eulerian_circuit(g).arc_seq) == list(range(g.num_arcs))
 
 
@@ -61,12 +63,12 @@ def test_arithmetic_de_bruijn_graph_equals_the_generic_build(sigma, k):
     generic = build_restricted_graph(
         itertools.product(range(sigma), repeat=k), kind="de_bruijn", sigma=sigma
     )
-    for attr in ("vertex_labels", "vertex_index", "arcs", "in_arcs", "out_arcs", "signature",
+    for attr in ("vertex_labels", "vertex_index", "in_arcs", "out_arcs", "signature",
                  "kind", "sigma", "k", "tails", "heads", "symbols"):
         assert getattr(fast, attr) == getattr(generic, attr), attr
     assert fast.full_de_bruijn and not generic.full_de_bruijn
-    assert all(a.id == sum(s * sigma**i for i, s in enumerate(reversed(fast.arc_word(a.id))))
-               for a in fast.arcs)
+    assert all(a == sum(s * sigma**i for i, s in enumerate(reversed(fast.arc_word(a))))
+               for a in range(fast.num_arcs))
 
 
 def test_partial_language_named_de_bruijn_takes_the_lookup_path():
@@ -95,11 +97,11 @@ def test_arc_words_are_windows():
     generic = build_restricted_graph(
         itertools.product(range(3), repeat=2), kind="de_bruijn", sigma=3
     )
-    for a in g.arcs:
-        word = g.arc_word(a.id)
-        assert g.vertex_labels[a.tail] == word[:-1]
-        assert g.vertex_labels[a.head] == word[1:]
-        assert g.arc_id_of_word(word) == generic.arc_id_of_word(word) == a.id
+    for a in range(g.num_arcs):
+        word = g.arc_word(a)
+        assert g.vertex_labels[g.tails[a]] == word[:-1]
+        assert g.vertex_labels[g.heads[a]] == word[1:]
+        assert g.arc_id_of_word(word) == generic.arc_id_of_word(word) == a
     # not arc words: wrong length, a symbol out of range, a symbol of another type
     for word in [(), (0,), (0, 1, 2), (0, 3), (-1, 0), (0, "1"), (None, 0), (0, 0.5)]:
         for graph in (g, generic):
@@ -119,7 +121,7 @@ def test_kautz_graph_counts(sigma, k):
     g = build_kautz_graph(sigma, k)
     assert g.num_vertices == sigma * (sigma - 1) ** (k - 2)
     assert g.num_arcs == sigma * (sigma - 1) ** (k - 1)
-    assert not any(a.tail == a.head for a in g.arcs)
+    assert not any(t == h for t, h in zip(g.tails, g.heads))
     for v in range(g.num_vertices):
         assert g.in_degree(v) == sigma - 1
         assert g.out_degree(v) == sigma - 1
@@ -140,8 +142,8 @@ def test_weight_one_kautz_graph_local_structure():
     language = expand_language(LanguageSpec("kautz", 3, min_weight=1, max_weight=1), DNA)
     g = build_restricted_graph(language)
     ca = vertex(g, "CA")
-    preds = {g.vertex_labels[g.arcs[a].tail] for a in g.in_arcs[ca]}
-    succs = {g.vertex_labels[g.arcs[a].head] for a in g.out_arcs[ca]}
+    preds = {g.vertex_labels[g.tails[a]] for a in g.in_arcs[ca]}
+    succs = {g.vertex_labels[g.heads[a]] for a in g.out_arcs[ca]}
     assert preds == {DNA.parse("AC"), DNA.parse("TC")}
     assert succs == {DNA.parse("AT")}
     # the skew at CA (and at AC) is exactly why this band has no covering
@@ -160,8 +162,8 @@ def test_restricted_graph_band_two_three():
     g = build_restricted_graph(language)
     assert g.num_arcs == len(language)
     # every arc word stays inside the band
-    for a in g.arcs:
-        w = sum(1 for s in g.arc_word(a.id) if s in DNA.weighted)
+    for a in range(g.num_arcs):
+        w = sum(1 for s in g.arc_word(a) if s in DNA.weighted)
         assert 2 <= w <= 3
 
 
@@ -181,7 +183,7 @@ def test_language_graph_arcs_ascend_with_their_words_at_every_vertex(alphabet, k
                 continue
             for v in range(g.num_vertices):
                 leading = [g.arc_word(a)[0] for a in g.in_arcs[v]]
-                trailing = [g.arcs[a].symbol for a in g.out_arcs[v]]
+                trailing = [g.symbols[a] for a in g.out_arcs[v]]
                 assert leading == sorted(set(leading)) and trailing == sorted(set(trailing))
 
 
@@ -210,8 +212,8 @@ def test_split_separates_in_out_pairs():
     def arc(text: str) -> int:
         return g.arc_id_of_word(DNA.parse(text))
 
-    piece_of_in = {a: split.arcs[a].head for a in (arc("CCAA"), arc("GCAA"))}
-    piece_of_out = {a: split.arcs[a].tail for a in (arc("CAAC"), arc("CAAG"))}
+    piece_of_in = {a: split.heads[a] for a in (arc("CCAA"), arc("GCAA"))}
+    piece_of_out = {a: split.tails[a] for a in (arc("CAAC"), arc("CAAG"))}
     assert piece_of_in[arc("CCAA")] == piece_of_out[arc("CAAC")]
     assert piece_of_in[arc("GCAA")] == piece_of_out[arc("CAAG")]
     assert piece_of_in[arc("CCAA")] != piece_of_in[arc("GCAA")]
@@ -237,16 +239,16 @@ def test_tensor_product_endpoints_are_pairs():
     g1 = build_de_bruijn_graph(2, 2)
     g2 = build_de_bruijn_graph(3, 2)
     prod = tensor_product(g1, g2)
-    for a1 in g1.arcs:
-        for a2 in g2.arcs:
-            pa = prod.arcs[prod.pair_to_arc[(a1.id, a2.id)]]
-            assert prod.vertex_labels[pa.tail] == (
-                g1.vertex_labels[a1.tail],
-                g2.vertex_labels[a2.tail],
+    for a1 in range(g1.num_arcs):
+        for a2 in range(g2.num_arcs):
+            pa = prod.pair_to_arc[(a1, a2)]
+            assert prod.vertex_labels[prod.tails[pa]] == (
+                g1.vertex_labels[g1.tails[a1]],
+                g2.vertex_labels[g2.tails[a2]],
             )
-            assert prod.vertex_labels[pa.head] == (
-                g1.vertex_labels[a1.head],
-                g2.vertex_labels[a2.head],
+            assert prod.vertex_labels[prod.heads[pa]] == (
+                g1.vertex_labels[g1.heads[a1]],
+                g2.vertex_labels[g2.heads[a2]],
             )
 
 
@@ -276,10 +278,10 @@ def test_digit_isomorphism_is_exhaustively_checked(sigma1, sigma2, k):
     image = set()
     for (a1, a2), pid in prod.pair_to_arc.items():
         joined = mixed_radix_join([g1.arc_word(a1), g2.arc_word(a2)], radices)
-        big_arc = big.arcs[big.arc_id_of_word(joined)]
-        image.add(big_arc.id)
-        pa = prod.arcs[pid]
-        for end, big_end in ((pa.tail, big_arc.tail), (pa.head, big_arc.head)):
+        big_arc = big.arc_id_of_word(joined)
+        image.add(big_arc)
+        for end, big_end in ((prod.tails[pid], big.tails[big_arc]),
+                             (prod.heads[pid], big.heads[big_arc])):
             hi, lo = prod.vertex_labels[end]
             assert mixed_radix_join([hi, lo], radices) == big.vertex_labels[big_end]
     assert len(image) == prod.num_arcs == big.num_arcs
@@ -304,3 +306,35 @@ def test_dot_and_json_exports():
     doc = g.to_json_dict()
     assert len(doc["arcs"]) == g.num_arcs
     assert len(doc["vertices"]) == g.num_vertices
+
+
+def _shifted_split():
+    g = build_de_bruijn_graph(3, 2)
+    return split_vertices(g, {
+        v: Wiring(v, frozenset(zip(g.in_arcs[v], g.out_arcs[v][1:] + g.out_arcs[v][:1])))
+        for v in (0, 2)
+    })
+
+
+PINNED_GRAPHS = {  # name: (build, signature, digest of the dot and json exports)
+    "de_bruijn": (lambda: build_de_bruijn_graph(3, 3), "a2c6ad4501d07143", "6d41709256de09ed"),
+    "kautz": (lambda: build_kautz_graph(4, 3), "4ca4e6d432b87d48", "27d16d895bd3fa92"),
+    "weight_band": (
+        lambda: build_language_graph(LanguageSpec("kautz", 4, min_weight=1, max_weight=3), DNA),
+        "32b7678d5b371108", "f17597b21c265654",
+    ),
+    "product": (
+        lambda: tensor_product(build_de_bruijn_graph(2, 2), build_kautz_graph(3, 2)),
+        "3d305f186777f1a8", "27644a628aa33eab",
+    ),
+    "split": (_shifted_split, "43f45e6f482683c1", "cbaa8e7b88181455"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+def test_signatures_and_exports_are_pinned(name):
+    build, signature, exports = PINNED_GRAPHS[name]
+    g = build()
+    assert g.signature == signature
+    text = g.to_dot(DNA if g.sigma == 4 else None) + json.dumps(g.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == exports

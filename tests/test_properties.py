@@ -121,14 +121,14 @@ def test_de_bruijn_words_survive_relabeling(sigma, data):
 def strongly_connected_on_support(graph) -> bool:
     """Reference: a forward and a backward search from one arc-carrying
     vertex both reach every arc-carrying vertex."""
-    support = {v for a in graph.arcs for v in (a.tail, a.head)}
+    support = set(graph.tails) | set(graph.heads)
     start = min(support)
-    for step in (lambda a: (a.tail, a.head), lambda a: (a.head, a.tail)):
+    arcs = list(zip(graph.tails, graph.heads))
+    for pairs in (arcs, [(y, x) for x, y in arcs]):
         seen, frontier = {start}, [start]
         while frontier:
             v = frontier.pop()
-            for a in graph.arcs:
-                x, y = step(a)
+            for x, y in pairs:
                 if x == v and y not in seen:
                     seen.add(y)
                     frontier.append(y)
