@@ -100,12 +100,26 @@ class Word:
         return Word(self.entries[off:] + self.entries[:off], circular=True)
 
     def canonical(self) -> "Word":
+        """The least rotation, in O(n) by Booth's algorithm (IPL 10, 1980)."""
         if not self.circular:
             return self
-        n = len(self.entries)
         doubled = self.entries + self.entries
-        best = min(doubled[i : i + n] for i in range(n))
-        return Word(best, circular=True)
+        fail = [-1] * len(doubled)
+        k = 0  # start of the least rotation seen so far
+        for j in range(1, len(doubled)):
+            c = doubled[j]
+            i = fail[j - k - 1]
+            while i != -1 and c != doubled[k + i + 1]:
+                if c < doubled[k + i + 1]:
+                    k = j - i - 1
+                i = fail[i]
+            if i == -1 and c != doubled[k]:
+                if c < doubled[k]:
+                    k = j
+                fail[j - k] = -1
+            else:
+                fail[j - k] = i + 1
+        return Word(doubled[k : k + len(self.entries)], circular=True)
 
     def render(self, alphabet: Alphabet) -> str:
         return alphabet.render(self.entries)

@@ -15,6 +15,7 @@ failure or any other internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -288,9 +289,11 @@ def cmd_verify(args) -> int:
     else:
         lines = []
         for r in reports:
-            status = "PASS" if r.holds else "FAIL"
-            extra = "" if r.holds else f"  witness={r.to_json_dict(alphabet).get('witness')!r}"
-            lines.append(f"{status}  {r.property}{extra}")
+            line = f"{'PASS' if r.holds else 'FAIL'}  {r.property}"
+            if not r.holds:  # render the witness alone, not the whole histogram
+                witness = dataclasses.replace(r, counts=None).to_json_dict(alphabet).get("witness")
+                line += f"  witness={witness!r}"
+            lines.append(line)
         _emit("".join(line + "\n" for line in lines), args)
     return 0 if all(r.holds for r in reports) else 1
 

@@ -237,7 +237,10 @@ def build_kautz_graph(sigma: int, k: int) -> DirectedMultigraph:
         starts = (g.vertex_index[w[1:] + (others[w[-1]][0],)] for w in labels)
         heads = list(itertools.chain.from_iterable(range(s, s + d) for s in starts))
     tails = list(map(operator.floordiv, range(len(symbols)), itertools.repeat(d)))
-    g._set_arcs(tails, heads, symbols)
+    # out-arcs v*d .. v*d+d-1; in-arcs: d-chunks of the arc ids stably sorted by head
+    by_head = iter(sorted(range(len(heads)), key=heads.__getitem__))
+    g._set_arcs(tails, heads, symbols,
+                (tuple(zip(*[iter(range(len(symbols)))] * d)), tuple(zip(*[by_head] * d))))
     return g
 
 

@@ -50,7 +50,15 @@ class VerificationReport:
         if self.witness is not None:
             out["witness"] = render(self.witness)
         if self.counts is not None:
-            out["counts"] = {str(render(k)): v for k, v in sorted(self.counts.items())}
+            keys = sorted(self.counts)
+            # windows (tuples of ints, by exact type) render at C speed
+            if alphabet is not None and set(map(type, keys)) <= {tuple} and set(
+                map(type, itertools.chain.from_iterable(keys))
+            ) <= {int}:
+                names = map(alphabet.render, keys)
+            else:
+                names = (str(render(k)) for k in keys)
+            out["counts"] = dict(zip(names, map(self.counts.__getitem__, keys)))
         return out
 
 
@@ -275,7 +283,10 @@ def is_b_circuit(walk, graph, b: int) -> VerificationReport:
 def enumerate_db_words(language: Iterable, max_results: int = 10_000) -> list[Word]:
     """All circular words containing each language word exactly once, up to
     rotation, in lexicographic order.  Backtracking over word successions,
-    on an explicit stack so the depth is not bounded by the recursion limit."""
+    on an explicit stack so the depth is not bounded by the recursion limit.
+    Each succession starts at the least word and its windows are distinct, so
+    it is its own least rotation; symbols are appended in ascending order, so
+    the results come out distinct and sorted, with no canonicalizing pass."""
     words = sorted(set(as_entries(w) for w in language))
     _require(bool(words), "language is empty")
     k = len(words[0])
@@ -308,8 +319,7 @@ def enumerate_db_words(language: Iterable, max_results: int = 10_000) -> list[Wo
         used[v] = True
         path.append(v)
         stack.append(iter(successors[v]))
-    canon = sorted({w.canonical().entries for w in results})
-    return [Word(e, circular=True) for e in canon]
+    return results
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ Invariants checked on randomized inputs:
 
 * window histograms of a circular word always sum to its length and match
   the slicing definition, also for windows longer than the word
+* a circular word's canonical form is its least rotation by the slicing
+  definition, periodic and one-symbol words included
 * de Bruijn membership is invariant under rotation and symbol relabeling
 * on a random balanced multigraph the Eulerian traversal raises NotConnected
   exactly when a reference search finds the support not strongly connected,
@@ -39,6 +41,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import orthoseq.circuits as circuits
+from orthoseq.alphabet import Word
 from orthoseq.circuits import (
     Circuit,
     Wiring,
@@ -95,6 +98,34 @@ def test_window_counts_match_the_slicing_definition(word, n):
     counts = circular_window_counts(word, n)
     assert counts == Counter(windows)
     assert list(counts) == list(dict.fromkeys(windows))  # in first-seen order, too
+
+
+def least_rotation_by_slices(entries: tuple) -> tuple:
+    """The definition of the least rotation: the least of the n rotations,
+    each sliced out of the doubled word, O(n^2)."""
+    n = len(entries)
+    doubled = entries + entries
+    return min(doubled[i : i + n] for i in range(n))
+
+
+@given(
+    word=st.integers(min_value=1, max_value=5)
+    .flatmap(lambda sigma: st.lists(st.integers(min_value=0, max_value=sigma - 1),
+                                    min_size=1, max_size=300))
+    .map(lambda entries: Word(entries, circular=True))
+)
+@example(word=Word((3,), circular=True))
+@example(word=Word((2,) * 7, circular=True))
+@example(word=Word((0, 1) * 50, circular=True))
+@example(word=Word((1, 1, 0, 2, 0, 0), circular=True))  # least rotation 0,0,1,1,0,2 wraps the end
+@example(word=Word((2, 1, 0)))  # a linear word has no rotations
+@settings(max_examples=300, deadline=None)
+def test_canonical_is_the_least_rotation(word):
+    canonical = word.canonical()
+    if not word.circular:
+        assert canonical is word
+    else:
+        assert canonical == Word(least_rotation_by_slices(word.entries), circular=True)
 
 
 @given(

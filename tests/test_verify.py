@@ -246,6 +246,35 @@ def test_enumerate_respects_guard():
     language = expand_language(LanguageSpec("full", 2), default_alphabet(3))
     with pytest.raises(GuardExceeded):
         enumerate_db_words(language, max_results=5)
+    language = expand_language(LanguageSpec("full", 5), default_alphabet(2))
+    with pytest.raises(GuardExceeded):  # 2,048 coverings
+        enumerate_db_words(language, max_results=100)
+
+
+def canonicalize_and_sort(words: list) -> list:
+    """The pass enumerate_db_words once ended with: each result at its least
+    rotation (by the definition, the least of its rotations), deduplicated
+    and sorted."""
+    least = {min(w[i:] + w[:i] for i in range(len(w))) for w in map(tuple, words)}
+    return [Word(e, circular=True) for e in sorted(least)]
+
+
+ENUMERATED_LANGUAGES = (
+    [("full", 2, k, None) for k in range(1, 6)]
+    + [("full", 3, k, None) for k in (1, 2)]
+    + [("kautz", 3, 2, None), ("kautz", 3, 3, None), ("kautz", 4, 2, None)]
+    + [("full", 4, 3, (w, w)) for w in range(4)]  # wider DNA bands have over 10,000 coverings
+)
+
+
+@pytest.mark.parametrize("kind,sigma,k,band", ENUMERATED_LANGUAGES)
+def test_enumerated_words_are_least_rotations_in_order(kind, sigma, k, band):
+    from orthoseq.alphabet import LanguageSpec, default_alphabet, expand_language
+
+    alphabet = DNA if band else default_alphabet(sigma)
+    spec = LanguageSpec(kind, k, *(band or (None, None)))
+    found = enumerate_db_words(expand_language(spec, alphabet))
+    assert found == canonicalize_and_sort(found)
 
 
 def test_exact_max_orthogonal_runs_past_the_recursion_limit():
