@@ -48,6 +48,10 @@ class Alphabet:
         toks = tuple(map(self.tokens.__getitem__, entries))
         return self._separator.join(toks) if toks else "-"
 
+    def render_many(self, words: Iterable[Iterable[int]]) -> Iterator[str]:
+        """:meth:`render` over nonempty words, with no Python call per word."""
+        return map(self._separator.join, map(map, itertools.repeat(self.tokens.__getitem__), words))
+
     def parse(self, text: str) -> tuple[int, ...]:
         """Inverse of :meth:`render`."""
         index = {t: i for i, t in enumerate(self.tokens)}

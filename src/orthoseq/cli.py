@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,6 +47,7 @@ PROPERTIES = (
 )
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthoseq",
@@ -74,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--band", type=int, nargs=2, metavar=("MIN", "MAX"), help="weight band (fixed-weight Kautz)"
     )
     gen.add_argument("--format", choices=("text", "json", "csv", "fasta"), default="text")
-    gen.set_defaults(func=cmd_generate)
 
     ver = sub.add_parser("verify", parents=[alpha, out], help="check properties of given words")
     ver.add_argument("--property", choices=PROPERTIES, required=True)
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--word", action="append", default=[], help="a word (repeatable)")
     ver.add_argument("--words-file", help="file with one word per line, # comments allowed")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.set_defaults(func=cmd_verify)
 
     enu = sub.add_parser(
         "enumerate", parents=[alpha, out], help="list all coverings of a small language"
@@ -96,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--band", type=int, nargs=2, metavar=("MIN", "MAX"), help="weight band")
     enu.add_argument("--max-results", type=int, default=10_000)
     enu.add_argument("--format", choices=("text", "json", "csv", "fasta"), default="text")
-    enu.set_defaults(func=cmd_enumerate)
 
     exp = sub.add_parser("export", parents=[alpha, out], help="write the word graph")
     exp.add_argument("-k", type=int, required=True, help="word length (arcs are k-words)")
     exp.add_argument("--kautz", action="store_true")
     exp.add_argument("--band", type=int, nargs=2, metavar=("MIN", "MAX"))
     exp.add_argument("--format", choices=("dot", "json"), default="dot")
-    exp.set_defaults(func=cmd_export)
 
     return parser
 
@@ -166,23 +164,52 @@ def _read_words(args, alphabet: Alphabet) -> list[tuple[int, ...]]:
     return words
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dump_json(obj, indent: str = "") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, at C speed.
+
+    Given indent=, the json module takes its pure-Python encoder.  So this
+    walks the containers itself and hands each str-keyed dict or list of
+    scalars to the C encoder, with newline and indentation as the item
+    separator.  Anything else is dumped whole and re-indented, which is safe
+    because a JSON string never holds a raw newline.
+    """
+    inner = indent + "  "
+    if type(obj) is dict and obj and set(map(type, obj)) <= {str}:
+        if set(map(type, obj.values())) <= _SCALARS:
+            body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(
+                f"{json.dumps(key)}: {_dump_json(obj[key], inner)}" for key in sorted(obj)
+            )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if type(obj) in (list, tuple) and obj:
+        if set(map(type, obj)) <= _SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_dump_json(item, inner) for item in obj)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _render(words: list[Word], alphabet: Alphabet, fmt: str, fasta_header, json_doc) -> str:
     """Circular words as text, csv, fasta or json.
 
-    fasta_header is the (record name, description) pair of every fasta record;
-    json_doc(rendered_words) builds the JSON document and runs only for json.
+    fasta_header is the (record name, description) pair of every fasta record,
+    whose words the caller gives at their least rotation; json_doc(rendered_words)
+    builds the JSON document and runs only for json.
     """
+    rendered = list(alphabet.render_many(w.entries for w in words))
     if fmt == "fasta":
-        # circular sequences are linearized at their canonical rotation
         name, description = fasta_header
         return "".join(
-            f">{name}_{i} {description} [circular; linearized at canonical rotation]\n"
-            f"{alphabet.render(w.canonical())}\n"
-            for i, w in enumerate(words)
+            f">{name}_{i} {description} [circular; linearized at canonical rotation]\n{r}\n"
+            for i, r in enumerate(rendered)
         )
-    rendered = [alphabet.render(w) for w in words]
     if fmt == "json":
-        return json.dumps(json_doc(rendered), indent=2, sort_keys=True) + "\n"
+        return _dump_json(json_doc(rendered)) + "\n"
     if fmt == "csv":
         lines = ["index,length,word"]
         lines += [f"{i},{len(w)},{r}" for i, (w, r) in enumerate(zip(words, rendered))]
@@ -217,8 +244,10 @@ def cmd_generate(args) -> int:
     result = construct(request)
     alphabet = result.alphabet
     meta = " ".join(f"{k}={v}" for k, v in sorted(result.parameters.items()))
+    # fasta linearizes each circular word at its least rotation
+    words = [w.canonical() for w in result.words] if args.format == "fasta" else result.words
     text = _render(
-        result.words,
+        words,
         alphabet,
         args.format,
         (result.family, meta),
@@ -285,7 +314,7 @@ def cmd_verify(args) -> int:
 
     if args.format == "json":
         doc = [r.to_json_dict(alphabet) for r in reports]
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+        _emit(_dump_json(doc) + "\n", args)
     else:
         lines = []
         for r in reports:
@@ -334,7 +363,7 @@ def cmd_export(args) -> int:
     kind = "kautz" if args.kautz else "de_bruijn"
     graph = build_restricted_graph(language, kind=kind, sigma=alphabet.sigma)
     if args.format == "json":
-        _emit(json.dumps(graph.to_json_dict(alphabet), indent=2, sort_keys=True) + "\n", args)
+        _emit(_dump_json(graph.to_json_dict(alphabet)) + "\n", args)
     else:
         _emit(graph.to_dot(alphabet, name=f"{kind}_k{args.k}"), args)
     return 0
@@ -350,7 +379,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up per call, so the cached parser binds no subcommand function
+        return globals()[f"cmd_{args.command}"](args)
     except CertificationError as exc:
         print(f"error: internal certification failure: {exc}", file=sys.stderr)
         return 3

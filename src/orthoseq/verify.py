@@ -51,11 +51,11 @@ class VerificationReport:
             out["witness"] = render(self.witness)
         if self.counts is not None:
             keys = sorted(self.counts)
-            # windows (tuples of ints, by exact type) render at C speed
-            if alphabet is not None and set(map(type, keys)) <= {tuple} and set(
+            # windows (nonempty tuples of ints, by exact type) render at C speed
+            if alphabet is not None and set(map(type, keys)) <= {tuple} and all(keys) and set(
                 map(type, itertools.chain.from_iterable(keys))
             ) <= {int}:
-                names = map(alphabet.render, keys)
+                names = alphabet.render_many(keys)
             else:
                 names = (str(render(k)) for k in keys)
             out["counts"] = dict(zip(names, map(self.counts.__getitem__, keys)))

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from orthoseq.cli import main
+from orthoseq.cli import build_parser, main
 from orthoseq.verify import VerificationReport
 
 
@@ -215,6 +215,53 @@ def test_identical_runs_are_byte_identical(capsys, tmp_path):
     assert main(argv + ["-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+
+
+def test_cached_parser_keeps_no_words_between_verify_calls(capsys):
+    # --word appends to a default list, so a shared parser must not grow it
+    verify = ["verify", "--property", "de-bruijn", "--sigma", "3", "-k", "2"]
+    assert run(capsys, *verify, "--word", "012002211") == (0, "PASS  de_bruijn(3,2)\n")
+    code, out = run(capsys, *verify, "--word", "012002212")
+    assert code == 1 and out.splitlines() == ["FAIL  de_bruijn(3,2)  witness='12'"]
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["verify", "--property", "kautz"]).word == []
+
+
+def test_generate_after_verify_gets_its_own_defaults(capsys):
+    code, _ = run(
+        capsys, "verify", "--property", "de-bruijn", "--sigma", "3", "-k", "3", "--ell", "2",
+        "--word", "012002211", "--format", "json",
+    )
+    assert code == 1
+    assert run(capsys, "generate", "--family", "de-bruijn", "--sigma", "3") == (
+        0, "010211220\n011002212\n"
+    )
+    args = build_parser().parse_args(["generate", "--family", "de-bruijn"])
+    assert (args.k, args.ell, args.format, args.sigma) == (2, 1, "text", None)
+    assert not hasattr(args, "word") and not hasattr(args, "property")
+
+
+def test_usage_errors_on_the_cached_parser_still_exit_two(capsys):
+    for _ in range(2):
+        assert main(["generate", "--family", "mystery", "--sigma", "3"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["verify", "--sigma", "3"]) == 2
+        assert "--property" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert run(capsys, "generate", "--family", "de-bruijn", "--sigma", "3")[0] == 0
+
+
+def test_subcommands_are_looked_up_per_call(capsys, monkeypatch):
+    # a wrapper installed after the parser was built still sees the call
+    build_parser()
+    seen = []
+    monkeypatch.setattr("orthoseq.cli.cmd_export", lambda args: seen.append(args.k) or 0)
+    assert main(["export", "--sigma", "2", "-k", "3"]) == 0
+    assert seen == [3]
 
 
 # ----------------------------------------------------------------------

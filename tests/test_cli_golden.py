@@ -3,8 +3,8 @@
 Each entry is the SHA-256 of (exit code, stdout, stderr) from running `main`
 in process on one command: every family under its canonical name and its
 alias in all four formats, `enumerate` over full, Kautz and weight-band
-languages, `verify` passing and failing, `export`, the parameter errors, and
-both help screens.  A refactor must leave every hash unchanged; a deliberate
+languages, `verify` passing and failing in text and JSON, `export`, the
+parameter errors, and both help screens.  A refactor must leave every hash unchanged; a deliberate
 output change updates the hash and says why in CHANGES.md.
 
 argparse wraps its help and usage text to the terminal width, so COLUMNS is
@@ -88,12 +88,14 @@ GOLDEN = {
     "enumerate --dna -k 3 --band 1 1 --format json": "e699bc478b4119d70e320069f3ba5c4ab63993a97d54cff88e4816b353b62376",
     "enumerate --dna -k 3 --band 1 1 --format csv": "71cd1e6977e21ca5dcb73d6c61be414d990f7bc9fe5b910a9f41b238f96dbfad",
     "enumerate --dna -k 3 --band 1 1 --format fasta": "1c48ce8bc462744df00f3fc989f84f6927567c6bf6835da35d2815dd014f5660",
+    "enumerate --sigma 2 -k 5 --format fasta": "23df405b2d25b876b520dc8d23dd1625d296d385816992eb0be197d21a9ca754",
     "enumerate --sigma 3 -k 2 --max-results 5": "0b325c176a011bb5f5821b293e3ed49aed057b5374f05fa5de4e046b2b57bc4a",
     "generate --family de-bruijn --sigma 4 -k 2": "24a69522a4604afc3cb2ce363a23a41531dfcf781adab171ff958b8247f7085c",
     "generate --family balanced-de-bruijn -c 2 -b 2 -k 2": "b5abdf17a665cbc286520b401f384c7c29c37f3ba95839c286297cd05820854a",
     "generate --family balanced-kautz -c 1 -b 1 -k 2 --format json": "633a204112171abbc9a9ceb392d6469d6821da4b5820ecffc6aabc7c37ceb709",
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002211": "f5361699db0e464985ee52b3ebee1c3f4f60269dd6e78061cc12b14082ff248f",
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002212": "fe26d59a805657c35044e91ea2a8ab5792e71123f912ebe57d99b3e9f7a4f4d6",
+    "verify --property de-bruijn --sigma 3 -k 2 --word 012002212 --format json": "5d63b8eee1a29a13c62654ebdb9b28eb4b90e78dd508f8a1303383f0a9c162b9",
     "verify --property de-bruijn --sigma 3 -k 2 --word 010211220 --word 011002212 --ell 1 --format json": "5de48c700a8f27cb13226b45d73090685946fef3aaede62c8c7c030a8c0e0a81",
     "verify --property self-orthogonal --sigma 3 -k 2 --word 000111222020212101": "769579a2d9ad93dd73f3f2667bea9200e5246d637b3c969fdb46ca8b4a9a6bcd",
     "verify --property balanced --sigma 4 -k 2 -b 2 --word 0011223300112233": "7d946f7039a27a6fd6f39cde1a6bf55f32f4b56f462e436c15b8d478e560188a",

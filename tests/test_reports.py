@@ -16,7 +16,13 @@ from orthoseq.alphabet import Alphabet, default_alphabet
 from orthoseq.circuits import find_eulerian_circuit
 from orthoseq.cli import main
 from orthoseq.graphs import build_de_bruijn_graph, tensor_product
-from orthoseq.verify import is_b_balanced, is_b_circuit, is_de_bruijn, is_self_orthogonal
+from orthoseq.verify import (
+    VerificationReport,
+    is_b_balanced,
+    is_b_circuit,
+    is_de_bruijn,
+    is_self_orthogonal,
+)
 
 
 def reference_json(report, alphabet=None) -> dict:
@@ -51,6 +57,8 @@ REPORTS = {
     "balanced-length": lambda: is_b_balanced((0, 1, 2, 0, 2), 3, 2, 2),
     "self-orthogonal-fail": lambda: is_self_orthogonal((0, 1, 0, 1, 2, 2), 1),
     "product-b-circuit": product_walk_report,
+    # an empty window renders as "-", so it keeps the per-key render
+    "empty-window": lambda: VerificationReport("windows", True, counts={(): 1, (0, 2): 2}),
 }
 ALPHABETS = {
     "none": None,
@@ -68,6 +76,12 @@ def test_to_json_dict_matches_the_per_key_render(make_report, alphabet):
     assert got == want
     assert list(got["counts"]) == list(want["counts"])
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABETS["digits"], ALPHABETS["multi-character"]])
+def test_render_many_matches_render(alphabet):
+    words = [(0,), (2, 1, 0), (1,) * 7, (0, 2) * 5]
+    assert list(alphabet.render_many(words)) == [alphabet.render(w) for w in words]
 
 
 def test_reports_cover_both_outcomes_and_witness_kinds():
