@@ -16,7 +16,6 @@ from .alphabet import (
     default_alphabet,
     dna_alphabet,
     expand_language,
-    word_weight,
 )
 from .circuits import (
     Circuit,

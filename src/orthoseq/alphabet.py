@@ -136,10 +136,6 @@ def as_entries(word) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_weight(entries: Sequence[int], weighted: frozenset[int]) -> int:
-    return sum(1 for s in entries if s in weighted)
-
-
 @dataclass(frozen=True)
 class LanguageSpec:
     """Description of a finite language of fixed-length words.

@@ -586,21 +586,34 @@ def merge_circuit(circuit: Circuit, original: DirectedMultigraph) -> Circuit:
 
 def hamiltonian_from_eulerian(circuit: Circuit, lifted: DirectedMultigraph) -> Circuit:
     """Map an Eulerian circuit of the order-k graph to a Hamiltonian cycle of
-    the order-(k+1) graph: each traversed arc becomes a visited vertex."""
+    the order-(k+1) graph: traversed arc a becomes visited vertex a, whose
+    out-arcs must append the symbols of the out-arcs at a's head in id order
+    (de Bruijn, Kautz).  Arcs a, b in turn lift to out-arc j of vertex a, for
+    b the j-th out-arc at its tail; checking the symbols, the circuit and the
+    visits makes every lifted word right on word graphs.  A failure names the
+    first lifted word missing; other vertex ids are refused, not searched."""
     g = circuit.graph
     if lifted.k != (g.k or 0) + 1:
         raise ParameterOutOfRange("lifted graph must have order k+1")
     if len(circuit) != g.num_arcs:
         raise ParameterOutOfRange("circuit is not Eulerian")
     seq = circuit.arc_seq
-    # the lifted word of arcs a, b in turn is a's word plus b's symbol
-    nxt = map(g.symbols.__getitem__, seq[1:] + seq[:1])
-    words = list(map(operator.add, map(g.arc_words().__getitem__, seq), zip(nxt)))
-    ids = tuple(map(lifted.arc_id_lookup().get, words))
-    if None in ids:
-        word = words[ids.index(None)]
-        raise ParameterOutOfRange(f"lifted word {word!r} is not an arc of the lifted graph")
-    ham = Circuit(lifted, ids)
-    if len(set(ham.vertex_seq())) != lifted.num_vertices:
-        raise ParameterOutOfRange("lift did not visit every vertex once")
+    nxt = seq[1:] + seq[:1]
+    try:
+        outs = map(g.out_arcs.__getitem__, map(g.tails.__getitem__, nxt))
+        ids = tuple(map(tuple.__getitem__, map(lifted.out_arcs.__getitem__, seq),
+                        map(tuple.index, outs, nxt)))
+        ham = Circuit(lifted, ids)
+        if list(map(lifted.symbols.__getitem__, ids)) != list(map(g.symbols.__getitem__, nxt)):
+            raise ParameterOutOfRange("lifted arcs do not carry the next arcs' symbols")
+        if len(set(ham.vertex_seq())) != lifted.num_vertices:
+            raise ParameterOutOfRange("lift did not visit every vertex once")
+    except (IndexError, ParameterOutOfRange) as exc:
+        have = set(lifted.arc_words())  # word tuples, for the message only
+        words = (g.arc_word(a) + (g.symbols[b],) for a, b in zip(seq, nxt))
+        word = next((w for w in words if w not in have), None)
+        raise ParameterOutOfRange(
+            f"lifted word {word!r} is not an arc of the lifted graph" if word is not None
+            else f"lifted graph's vertex ids are not the circuit graph's arc ids: {exc}"
+        ) from None
     return ham

@@ -9,7 +9,7 @@ export     write a word graph as DOT or JSON
 
 Exit codes: 0 success, 1 a verified property does not hold, 2 usage or
 parameter errors (including exceeded search guards), 3 internal certification
-failure or any other internal error.
+failure or any other internal error, 141 (128 + SIGPIPE) a closed stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -146,6 +147,7 @@ def _emit(text: str, args) -> None:
             raise ParameterOutOfRange(str(exc)) from None
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
 
 
 def _read_words(args, alphabet: Alphabet) -> list[tuple[int, ...]]:
@@ -388,7 +390,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        raise  # a closed stdout, e.g. `| head`, is not a fault of the program
+        # a closed stdout (`| head`): 128 + SIGPIPE, and devnull for any later flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -384,11 +384,9 @@ def tensor_compose_b_circuits(
         product = tensor_product(c1.graph, c2.graph)
     elif getattr(product, "factors", None) != (c1.graph, c2.graph):
         raise ParameterOutOfRange("product graph does not match the factors")
-    seq = tuple(
-        product.pair_to_arc[(c1.arc_seq[t % len1], c2.arc_seq[t % len2])]
-        for t in range(len1 * len2)
-    )
-    return Circuit(product, seq)
+    # position t pairs arcs a1 = c1[t mod len1] and a2 = c2[t mod len2]: arc a1*|A2| + a2
+    radices = (c1.graph.num_arcs, c2.graph.num_arcs)
+    return Circuit(product, mixed_radix_join((c1.arc_seq, c2.arc_seq), radices))
 
 
 def construct_orthogonal_balanced_de_bruijn(

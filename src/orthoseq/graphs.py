@@ -94,25 +94,16 @@ class DirectedMultigraph:
         labels = list(map(tuple, self.vertex_labels))
         return list(map(operator.add, map(labels.__getitem__, self.tails), zip(self.symbols)))
 
-    def arc_id_lookup(self) -> dict:
-        """Word -> arc id over every arc (a split graph's are its base's)."""
-        if self.kind == "split":
-            return self.base.arc_id_lookup()
-        if not hasattr(self, "_word_to_arc"):  # built on first use only
-            self._word_to_arc = dict(zip(self.arc_words(), range(self.num_arcs)))
-        return self._word_to_arc
-
-    def arc_id_of_word(self, entries: Sequence[int]) -> int:
-        """Inverse of :meth:`arc_word`: the word's base-sigma value on a full de
-        Bruijn graph, otherwise :meth:`arc_id_lookup`.  KeyError for a non-word."""
+    def arc_id_of_word(self, entries: Sequence) -> int:
+        """Inverse of :meth:`arc_word`: the out-arc of the word's prefix vertex
+        with its last entry as symbol (a split graph asks its base); KeyError for a non-word."""
         word = tuple(entries)
-        if self.full_de_bruijn:  # `in range` compares by ==, as the lookup's keys do
-            if len(word) != self.k or not all(s in range(self.sigma) for s in word):
-                raise KeyError(word)
-            return int(mixed_radix_join([(s,) for s in word], [self.sigma] * self.k)[0])
-        try:
-            return self.arc_id_lookup()[word]
-        except TypeError:  # an unhashable symbol: no word either
+        if self.kind == "split":
+            return self.base.arc_id_of_word(word)
+        try:  # symbols compare by ==, as the prefix's vertex lookup does
+            outs = self.out_arcs[self.vertex_index[word[:-1]]]
+            return outs[list(map(self.symbols.__getitem__, outs)).index(word[-1])]
+        except (KeyError, TypeError, IndexError, ValueError):  # no prefix or symbol, unhashable
             raise KeyError(word) from None
 
     @property
@@ -278,8 +269,6 @@ def tensor_product(g1: DirectedMultigraph, g2: DirectedMultigraph) -> DirectedMu
                 [n2 * h1 + h2 for h1 in g1.heads for h2 in g2.heads],
                 itertools.product(g1.symbols, g2.symbols))
     g.factors = (g1, g2)
-    pairs = itertools.product(range(g1.num_arcs), range(g2.num_arcs))
-    g.pair_to_arc = dict(zip(pairs, range(g.num_arcs)))
     return g
 
 

@@ -86,7 +86,6 @@ PUBLIC = [
     "verify",
     "wiring_of",
     "word_to_circuit",
-    "word_weight",
 ]
 
 

@@ -104,7 +104,7 @@ def test_word_to_circuit_rejects_foreign_window():
 
 
 def test_word_to_circuit_rejects_an_unhashable_symbol():
-    # the Kautz graph looks windows up in a dict; the de Bruijn graph computes ids
+    # both graphs look the window's prefix up among their vertex labels
     for graph in (build_kautz_graph(3, 2), build_de_bruijn_graph(3, 2)):
         with pytest.raises(KeyError):
             graph.arc_id_of_word(([0], 1))

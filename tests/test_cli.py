@@ -9,9 +9,14 @@ output formats.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthoseq
 from orthoseq.cli import build_parser, main
 from orthoseq.verify import VerificationReport
 
@@ -101,15 +106,42 @@ def test_unwritable_or_missing_file_is_two(capsys, tmp_path):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-def test_closed_stdout_is_not_a_usage_error(monkeypatch):
-    # e.g. `orthoseq enumerate ... | head`: only the -o and --words-file paths map to 2
+def test_closed_stdout_is_not_a_usage_error(monkeypatch, tmp_path):
+    # e.g. `orthoseq enumerate ... | head`: neither 2 (usage) nor 1 (a failed property)
+    target = tmp_path / "stdout"
+
     class ClosedPipe:
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
+        def fileno(self):
+            return self.fd
+
     monkeypatch.setattr("sys.stdout", ClosedPipe())
-    with pytest.raises(BrokenPipeError):
-        main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2"])
+    assert main(["generate", "--family", "de-bruijn", "--sigma", "3", "-k", "2"]) == 141
+    os.write(ClosedPipe.fd, b"a later flush")  # lands on devnull now
+    os.close(ClosedPipe.fd)
+    assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--sigma", "2", "-k", "4"],
+    ["generate", "--family", "balanced-de-bruijn", "-c", "2", "-b", "2", "-k", "2"],
+])
+def test_closed_stdout_in_a_fresh_process_exits_141_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # closed before the process starts, so its first write fails
+    src = str(Path(orthoseq.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orthoseq.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_certification_failure_is_three(capsys, monkeypatch):

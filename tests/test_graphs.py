@@ -193,7 +193,7 @@ def test_word_lookup_on_table_built_graphs_inverts_arc_word():
     for g in (build_kautz_graph(4, 3), build_language_graph(spec, DNA), product):
         ids = range(g.num_arcs)
         assert [g.arc_id_of_word(g.arc_word(a)) for a in ids] == list(ids)
-        assert len(g._word_to_arc) == g.num_arcs
+        assert len(set(g.arc_words())) == g.num_arcs  # one word per arc, so the inverse is total
     g = build_kautz_graph(4, 2)
     split = split_vertices(g, {0: Wiring(0, frozenset(zip(g.in_arcs[0], g.out_arcs[0])))})
     assert split.arc_id_of_word((1, 0)) == g.arc_id_of_word((1, 0))  # asked of the base
@@ -232,7 +232,9 @@ def test_tensor_product_counts():
     assert prod.num_vertices == g1.num_vertices * g2.num_vertices
     assert prod.num_arcs == g1.num_arcs * g2.num_arcs
     assert prod.factors == (g1, g2)
-    assert len(prod.pair_to_arc) == prod.num_arcs
+    # arc a1*|A2| + a2 is the pair (a1, a2): one arc per pair
+    pairs = itertools.product(range(g1.num_arcs), range(g2.num_arcs))
+    assert [(g1.symbols[a1], g2.symbols[a2]) for a1, a2 in pairs] == list(prod.symbols)
 
 
 def test_tensor_product_endpoints_are_pairs():
@@ -241,7 +243,7 @@ def test_tensor_product_endpoints_are_pairs():
     prod = tensor_product(g1, g2)
     for a1 in range(g1.num_arcs):
         for a2 in range(g2.num_arcs):
-            pa = prod.pair_to_arc[(a1, a2)]
+            pa = a1 * g2.num_arcs + a2
             assert prod.vertex_labels[prod.tails[pa]] == (
                 g1.vertex_labels[g1.tails[a1]],
                 g2.vertex_labels[g2.tails[a2]],
@@ -276,7 +278,8 @@ def test_digit_isomorphism_is_exhaustively_checked(sigma1, sigma2, k):
     prod = tensor_product(g1, g2)
     radices = (sigma1, sigma2)
     image = set()
-    for (a1, a2), pid in prod.pair_to_arc.items():
+    for (a1, a2) in itertools.product(range(g1.num_arcs), range(g2.num_arcs)):
+        pid = a1 * g2.num_arcs + a2
         joined = mixed_radix_join([g1.arc_word(a1), g2.arc_word(a2)], radices)
         big_arc = big.arc_id_of_word(joined)
         image.add(big_arc)
