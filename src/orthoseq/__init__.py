@@ -12,30 +12,21 @@ from .alphabet import (
     Alphabet,
     LanguageSpec,
     Word,
-    as_entries,
     default_alphabet,
     dna_alphabet,
     expand_language,
 )
 from .circuits import (
     Circuit,
-    Wiring,
     circuit_to_word,
     find_eulerian_circuit,
     hamiltonian_from_eulerian,
-    merge_circuit,
-    rewire,
-    rewire_given,
     rewire_vertex_set,
-    split_vertices,
-    wiring_of,
     word_to_circuit,
 )
 from .constructions import (
     ConstructionResult,
     OrthogonalCollectionRequest,
-    build_b_circuit,
-    combine_closed_walks,
     construct,
     construct_fixed_weight_kautz_orthogonal,
     construct_fixed_weight_orthogonal_db,
@@ -43,13 +34,6 @@ from .constructions import (
     construct_l_orthogonal_kautz,
     construct_orthogonal_balanced_de_bruijn,
     construct_orthogonal_balanced_kautz,
-    find_arc_disjoint_avoiding_cycles,
-    fixed_weight_kautz_exists,
-    insert_loop,
-    is_prime_power,
-    partition_vertices,
-    smallest_prime_power_geq,
-    tensor_compose_b_circuits,
 )
 from .errors import (
     CertificationError,
@@ -71,13 +55,11 @@ from .graphs import (
     build_kautz_graph,
     build_language_graph,
     build_restricted_graph,
-    tensor_product,
 )
 from .verify import (
     VerificationReport,
     are_arc_disjoint,
     are_compatible,
-    circular_window_counts,
     enumerate_db_words,
     exact_max_orthogonal,
     is_b_balanced,

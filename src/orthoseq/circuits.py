@@ -2,7 +2,8 @@
 
 A circuit is a closed walk stored as its arc-id sequence.  The wiring a
 circuit induces at a vertex is the perfect matching "arrived on arc a, left on
-arc b"; two circuits are compatible when their wirings are edge-disjoint at
+arc b"; a wiring is kept as a dict from in-arc to out-arc, over one vertex or
+many.  Two circuits are compatible when their wirings are edge-disjoint at
 every vertex.  Rewiring replaces the matching at one vertex while keeping all
 others, subject to the result still being a single closed walk.
 """
@@ -106,23 +107,33 @@ def word_to_circuit(word, graph: DirectedMultigraph) -> Circuit:
 # wirings
 
 
-@dataclass(frozen=True)
-class Wiring:
-    """Perfect matching of in-arcs to out-arcs at one vertex."""
-
-    vertex: int
-    pairs: frozenset  # of (in_arc_id, out_arc_id)
-
-
-def wiring_of(vertex: int, circuit: Circuit) -> Wiring:
-    """The matching induced at `vertex` by consecutive arc pairs."""
+def wiring_of(vertex: int, circuit: Circuit) -> dict[int, int]:
+    """The matching induced at `vertex`: each in-arc -> the arc the circuit
+    takes next."""
     heads, seq = circuit.graph.heads, circuit.arc_seq
-    pairs = {(a, b) for a, b in zip(seq, seq[1:] + seq[:1]) if heads[a] == vertex}
-    if len(pairs) != circuit.graph.in_degree(vertex):
+    pairs = [(a, b) for a, b in zip(seq, seq[1:] + seq[:1]) if heads[a] == vertex]
+    wiring = dict(pairs)
+    if len(pairs) != circuit.graph.in_degree(vertex) or len(wiring) != len(pairs):
         raise ParameterOutOfRange(
             f"circuit does not traverse every arc at vertex {vertex} exactly once"
         )
-    return Wiring(vertex, frozenset(pairs))
+    return wiring
+
+
+def _wired(graph: DirectedMultigraph, wiring: dict[int, int]) -> list[bool]:
+    """Per vertex, whether `wiring` maps its in-arcs; ParameterOutOfRange
+    unless it maps them one to one onto the vertex's out-arcs at each such
+    vertex, and maps no other arc."""
+    wired = [bool(ins) and ins[0] in wiring for ins in graph.in_arcs]
+    for v in itertools.compress(range(graph.num_vertices), wired):
+        ins, outs = graph.in_arcs[v], graph.out_arcs[v]
+        if len(ins) != len(outs) or set(map(wiring.get, ins)) != set(outs):
+            raise ParameterOutOfRange(
+                f"wiring at vertex {graph.vertex_labels[v]!r} is not a perfect matching"
+            )
+    if sum(map(len, itertools.compress(graph.in_arcs, wired))) != len(wiring):
+        raise ParameterOutOfRange("wiring maps an arc that is no in-arc of a wired vertex")
+    return wired
 
 
 # ----------------------------------------------------------------------
@@ -144,15 +155,7 @@ def find_eulerian_circuit(graph: DirectedMultigraph,
     if graph.num_arcs == 0:
         raise ParameterOutOfRange("graph has no arcs")
     n, wiring = graph.num_vertices, wiring or {}
-    wired = [bool(ins) and ins[0] in wiring for ins in graph.in_arcs]
-    for v in itertools.compress(range(n), wired):
-        ins, outs = graph.in_arcs[v], graph.out_arcs[v]
-        if len(ins) != len(outs) or set(map(wiring.get, ins)) != set(outs):
-            raise ParameterOutOfRange(
-                f"wiring at vertex {graph.vertex_labels[v]!r} is not a perfect matching"
-            )
-    if sum(map(len, itertools.compress(graph.in_arcs, wired))) != len(wiring):
-        raise ParameterOutOfRange("wiring maps an arc that is no in-arc of a wired vertex")
+    wired = _wired(graph, wiring)
     unbalanced = map(operator.ne, map(len, graph.in_arcs), map(len, graph.out_arcs))
     for v in itertools.compress(range(n), unbalanced):
         if not wired[v]:
@@ -538,31 +541,24 @@ def rewire_vertex_set(
 # vertex splitting
 
 
-def split_vertices(
-    graph: DirectedMultigraph, wirings: dict[int, Wiring]
-) -> DirectedMultigraph:
-    """Replace each wired vertex by one degree-1 vertex per wiring pair.
+def split_vertices(graph: DirectedMultigraph, wiring: dict[int, int]) -> DirectedMultigraph:
+    """Replace each vertex whose in-arcs `wiring` maps to out-arcs, as
+    `find_eulerian_circuit` takes it, by one degree-1 vertex per in-arc.
 
     Arc ids are preserved, so any circuit of the split graph is a valid arc
     sequence of the original; that is what merge_circuit relies on.
     """
-    for v, w in wirings.items():
-        ins = {i for i, _ in w.pairs}
-        outs = {o for _, o in w.pairs}
-        if ins != set(graph.in_arcs[v]) or outs != set(graph.out_arcs[v]):
-            raise ParameterOutOfRange(
-                f"wiring at vertex {graph.vertex_labels[v]!r} is not a perfect matching"
-            )
+    wired = _wired(graph, wiring)
     new_labels: list = []
     new_id: list = []  # of each vertex, or of its first piece
     for v, lab in enumerate(graph.vertex_labels):
         new_id.append(len(new_labels))
-        new_labels += [(lab, j) for j in range(len(wirings[v].pairs))] if v in wirings else [lab]
+        new_labels += [(lab, j) for j in range(len(graph.in_arcs[v]))] if wired[v] else [lab]
     tails = list(map(new_id.__getitem__, graph.tails))
     heads = list(map(new_id.__getitem__, graph.heads))
-    for v, w in wirings.items():  # piece j of a wired vertex carries its j-th pair
-        for piece, (i, o) in enumerate(sorted(w.pairs), new_id[v]):
-            heads[i] = tails[o] = piece
+    for v in itertools.compress(range(graph.num_vertices), wired):
+        for piece, i in enumerate(graph.in_arcs[v], new_id[v]):  # piece j: the j-th in-arc
+            heads[i] = tails[wiring[i]] = piece
     base = graph.base if graph.kind == "split" else graph
     split = DirectedMultigraph(new_labels, (), kind="split", sigma=graph.sigma, k=graph.k,
                                base=base)

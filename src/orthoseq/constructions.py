@@ -369,9 +369,7 @@ def combine_closed_walks(walks: Sequence[Circuit]) -> Circuit:
     return Circuit(g, tuple(result))
 
 
-def tensor_compose_b_circuits(
-    c1: Circuit, c2: Circuit, product: Optional[DirectedMultigraph] = None
-) -> Circuit:
+def tensor_compose_b_circuits(c1: Circuit, c2: Circuit) -> Circuit:
     """Index-synchronous pairing of two coprime-length circuit streams into
     one circuit of the tensor product graph."""
     len1, len2 = len(c1), len(c2)
@@ -380,10 +378,7 @@ def tensor_compose_b_circuits(
     for c in (c1, c2):
         if len(c) % c.graph.num_vertices != 0:
             raise ParameterOutOfRange("walk length is not a multiple of |V|")
-    if product is None:
-        product = tensor_product(c1.graph, c2.graph)
-    elif getattr(product, "factors", None) != (c1.graph, c2.graph):
-        raise ParameterOutOfRange("product graph does not match the factors")
+    product = tensor_product(c1.graph, c2.graph)
     # position t pairs arcs a1 = c1[t mod len1] and a2 = c2[t mod len2]: arc a1*|A2| + a2
     radices = (c1.graph.num_arcs, c2.graph.num_arcs)
     return Circuit(product, mixed_radix_join((c1.arc_seq, c2.arc_seq), radices))

@@ -325,14 +325,11 @@ def enumerate_db_words(language: Iterable, max_results: int = 10_000) -> list[Wo
 # ----------------------------------------------------------------------
 # exact maximum collection size
 
+_MAX_VERTICES = 100_000  # largest sigma^k `exact_max_orthogonal` searches
+_SEARCH_NODES = 200_000_000  # node guard of `exact_max_orthogonal`
 
-def exact_max_orthogonal(
-    sigma: int,
-    k: int,
-    ell: int = 1,
-    max_vertices: int = 100_000,
-    max_nodes: Optional[int] = 200_000_000,
-) -> int:
+
+def exact_max_orthogonal(sigma: int, k: int, ell: int = 1) -> int:
     """Exact maximum size of an ell-orthogonal collection of (sigma,k)
     de Bruijn sequences (distinct up to rotation), by exhaustive search.
 
@@ -342,12 +339,13 @@ def exact_max_orthogonal(
     of the ell*(sigma-1) available windows of the form (x,0,...,0) with x != 0
     (the window 0^k occurs exactly once per member, and its left extension
     cannot be 0), so no larger collection exists.  Full exhaustion is paid
-    only when the maximum is strictly below that cutoff.
+    only when the maximum is strictly below that cutoff.  Past `_MAX_VERTICES`
+    vertices or `_SEARCH_NODES` search nodes it raises GuardExceeded.
     """
     _require(sigma >= 2 and k >= 1 and ell >= 1, "bad parameters")
     n = sigma**k
-    if n > max_vertices:
-        raise GuardExceeded(f"sigma^k = {n} exceeds guard {max_vertices}")
+    if n > _MAX_VERTICES:
+        raise GuardExceeded(f"sigma^k = {n} exceeds guard {_MAX_VERTICES}")
     upper = ell * (sigma - 1)
     start = (0,) * k
     cap: dict = defaultdict(lambda: ell)
@@ -370,8 +368,8 @@ def exact_max_orthogonal(
         def cycle_dfs(u, tight: bool):
             nonlocal nodes
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise GuardExceeded(f"search exceeded {max_nodes} nodes")
+            if nodes > _SEARCH_NODES:
+                raise GuardExceeded(f"search exceeded {_SEARCH_NODES} nodes")
             if len(steps) == n - 1:
                 # closure is forced: u -> start needs u = (x,0,..,0), symbol 0
                 closing = u + (0,)

@@ -309,11 +309,11 @@ def test_criterion_8_randomized_certification_and_rewire_postconditions():
             if use_given:
                 base = find_eulerian_circuit(graph)
                 rewired = rewire_given(vertex, circuit, [base])
-                forbidden_pairs = wiring_of(vertex, base).pairs
+                forbidden_pairs = wiring_of(vertex, base).items()
             else:
                 rewired = rewire(vertex, circuit)
-                forbidden_pairs = wiring_of(vertex, circuit).pairs
-            ok = wiring_of(vertex, rewired).pairs.isdisjoint(forbidden_pairs)
+                forbidden_pairs = wiring_of(vertex, circuit).items()
+            ok = wiring_of(vertex, rewired).items().isdisjoint(forbidden_pairs)
             ok = ok and all(
                 wiring_of(u, rewired) == wiring_of(u, circuit)
                 for u in range(graph.num_vertices)

@@ -30,21 +30,16 @@ PUBLIC = [
     "TooManyForbidden",
     "UnsupportedCase",
     "VerificationReport",
-    "Wiring",
     "Word",
     "alphabet",
     "are_arc_disjoint",
     "are_compatible",
-    "as_entries",
-    "build_b_circuit",
     "build_de_bruijn_graph",
     "build_kautz_graph",
     "build_language_graph",
     "build_restricted_graph",
     "circuit_to_word",
     "circuits",
-    "circular_window_counts",
-    "combine_closed_walks",
     "construct",
     "construct_fixed_weight_kautz_orthogonal",
     "construct_fixed_weight_orthogonal_db",
@@ -59,12 +54,9 @@ PUBLIC = [
     "errors",
     "exact_max_orthogonal",
     "expand_language",
-    "find_arc_disjoint_avoiding_cycles",
     "find_eulerian_circuit",
-    "fixed_weight_kautz_exists",
     "graphs",
     "hamiltonian_from_eulerian",
-    "insert_loop",
     "is_b_balanced",
     "is_b_balanced_kautz",
     "is_b_circuit",
@@ -72,19 +64,9 @@ PUBLIC = [
     "is_fixed_weight_db",
     "is_kautz_word",
     "is_l_orthogonal",
-    "is_prime_power",
     "is_self_orthogonal",
-    "merge_circuit",
-    "partition_vertices",
-    "rewire",
-    "rewire_given",
     "rewire_vertex_set",
-    "smallest_prime_power_geq",
-    "split_vertices",
-    "tensor_compose_b_circuits",
-    "tensor_product",
     "verify",
-    "wiring_of",
     "word_to_circuit",
 ]
 

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from orthoseq.alphabet import LanguageSpec, dna_alphabet
 from orthoseq.circuits import (
     Circuit,
-    Wiring,
     find_eulerian_circuit,
     hamiltonian_from_eulerian,
     rewire_vertex_set,
@@ -73,7 +72,7 @@ def _graphs() -> dict:
     dna = dna_alphabet()
     partial = [w for w in itertools.product(range(3), repeat=2) if w != (0, 1)]
     kautz = build_kautz_graph(4, 2)
-    wiring = Wiring(0, frozenset(zip(kautz.in_arcs[0], kautz.out_arcs[0])))
+    wiring = dict(zip(kautz.in_arcs[0], kautz.out_arcs[0]))
     return {
         "de-bruijn": build_de_bruijn_graph(3, 2),
         "de-bruijn-k1": build_de_bruijn_graph(3, 1),
@@ -84,7 +83,7 @@ def _graphs() -> dict:
         "kautz": build_kautz_graph(4, 3),
         "weight-band": build_language_graph(LanguageSpec("kautz", 4, 1, 3), dna),
         "product": tensor_product(build_de_bruijn_graph(2, 2), build_kautz_graph(3, 2)),
-        "split": split_vertices(kautz, {0: wiring}),
+        "split": split_vertices(kautz, wiring),
     }
 
 
@@ -216,6 +215,6 @@ def test_composition_by_arithmetic_equals_the_pair_table():
     for c1, c2 in [*((w, e3) for w in walks), (e2, e5), (e5, e2)]:
         for r in (0, 7):  # pairing is phase-sensitive
             c1 = Circuit(c1.graph, c1.arc_seq[r:] + c1.arc_seq[:r])
-            product = tensor_product(c1.graph, c2.graph)
-            composed = tensor_compose_b_circuits(c1, c2, product)
-            assert composed.arc_seq == compose_by_pairs(c1, c2, product)
+            composed = tensor_compose_b_circuits(c1, c2)
+            assert composed.graph.factors == (c1.graph, c2.graph)
+            assert composed.arc_seq == compose_by_pairs(c1, c2, composed.graph)

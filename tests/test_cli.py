@@ -12,12 +12,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orthoseq
 from orthoseq.cli import build_parser, main
+from orthoseq.constructions import FAMILIES
 from orthoseq.verify import VerificationReport
 
 
@@ -214,6 +217,64 @@ def test_generated_collections_verify(capsys, tmp_path, gen, ver):
     out_file.write_text(other + text[1:])
     assert main(["verify", *ver, "--words-file", str(out_file)]) == 1
     capsys.readouterr()
+
+
+ROUND_TRIPS = {  # family: the verify property, and each generate option's range
+    "de-bruijn": ("de-bruijn", {"--sigma": (3, 5), "-k": (1, 3), "--ell": (1, 2)}),
+    "kautz": ("kautz", {"--sigma": (4, 5), "-k": (2, 3), "--ell": (1, 2)}),
+    "balanced-de-bruijn": ("balanced", {"-c": (2, 3), "-b": (2, 3), "-k": (1, 2)}),
+    "balanced-kautz": ("balanced-kautz", {"-c": (1, 2), "-b": (1, 2), "-k": (2, 3)}),
+    "fixed-weight-de-bruijn": ("fixed-weight", {"-k": (2, 4), "--weight": (0, 4)}),
+    "fixed-weight-kautz": ("fixed-weight-kautz", {"-k": (2, 4), "--band": (0, 4)}),
+}
+
+
+@st.composite
+def round_trips(draw):
+    """A family of FAMILIES with small generate options (DNA for the
+    fixed-weight ones), and the verify options that check its output, but
+    for --sigma, which is read off the result."""
+    family = draw(st.sampled_from([f.name for f in FAMILIES]))
+    prop, ranges = ROUND_TRIPS[family]
+    gen, ver = ["--family", family], ["--property", prop]
+    for flag, (lo, hi) in ranges.items():
+        values = sorted(draw(st.integers(lo, hi)) for _ in range(2 if flag == "--band" else 1))
+        values = list(map(str, values))  # a band's two ends in order
+        gen += [flag, *values]
+        if flag not in ("--sigma", "-c"):
+            ver += [flag, *values]
+    if "--ell" not in ranges:
+        ver += ["--ell", "1"]
+    if family.startswith("fixed-weight"):
+        gen.append("--dna")
+        ver.append("--dna")
+    return gen, ver
+
+
+@given(case=round_trips(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_family_round_trips_through_verify(case, data):
+    gen, ver = case
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_file, words_file, report = (os.path.join(tmp, name) for name in ("g", "w", "r"))
+        code = main(["generate", *gen, "--format", "json", "-o", doc_file])
+        assert code in (0, 2)  # a typed refusal is fine; a failed property or a crash is not
+        if code == 2:
+            return
+        doc = json.loads(Path(doc_file).read_text())
+        if "--dna" not in ver:
+            ver = [*ver, "--sigma", str(doc["sigma"])]
+        ver += ["--words-file", words_file, "-o", report]
+        words = doc["words"]
+        Path(words_file).write_text("\n".join(words) + "\n")
+        assert main(["verify", *ver]) == 0
+        # one symbol changed to another symbol of the alphabet
+        i = data.draw(st.integers(0, len(words) - 1))
+        t = data.draw(st.integers(0, len(words[i]) - 1))
+        other = data.draw(st.sampled_from([s for s in doc["alphabet"] if s != words[i][t]]))
+        words[i] = words[i][:t] + other + words[i][t + 1 :]
+        Path(words_file).write_text("\n".join(words) + "\n")
+        assert main(["verify", *ver]) == 1
 
 
 def test_balanced_order_five_generates_and_verifies(capsys, tmp_path):

@@ -16,7 +16,6 @@ import pytest
 
 from orthoseq.alphabet import LanguageSpec, default_alphabet, dna_alphabet, expand_language
 from orthoseq.circuits import (
-    Wiring,
     circuit_to_word,
     find_eulerian_circuit,
     split_vertices,
@@ -195,7 +194,7 @@ def test_word_lookup_on_table_built_graphs_inverts_arc_word():
         assert [g.arc_id_of_word(g.arc_word(a)) for a in ids] == list(ids)
         assert len(set(g.arc_words())) == g.num_arcs  # one word per arc, so the inverse is total
     g = build_kautz_graph(4, 2)
-    split = split_vertices(g, {0: Wiring(0, frozenset(zip(g.in_arcs[0], g.out_arcs[0])))})
+    split = split_vertices(g, dict(zip(g.in_arcs[0], g.out_arcs[0])))
     assert split.arc_id_of_word((1, 0)) == g.arc_id_of_word((1, 0))  # asked of the base
     with pytest.raises(KeyError):
         split.arc_id_of_word((0, 0))
@@ -206,8 +205,8 @@ def test_split_separates_in_out_pairs():
     g = build_restricted_graph(language)
     caa = vertex(g, "CAA")
     assert g.in_degree(caa) == 2
-    shift0 = frozenset(zip(g.in_arcs[caa], g.out_arcs[caa]))  # as the fixed-weight families wire
-    split = split_vertices(g, {caa: Wiring(caa, shift0)})
+    shift0 = dict(zip(g.in_arcs[caa], g.out_arcs[caa]))  # as the fixed-weight families wire
+    split = split_vertices(g, shift0)
     # the shift-0 wiring routes CCAA -> CAAC and GCAA -> CAAG
     def arc(text: str) -> int:
         return g.arc_id_of_word(DNA.parse(text))
@@ -314,8 +313,9 @@ def test_dot_and_json_exports():
 def _shifted_split():
     g = build_de_bruijn_graph(3, 2)
     return split_vertices(g, {
-        v: Wiring(v, frozenset(zip(g.in_arcs[v], g.out_arcs[v][1:] + g.out_arcs[v][:1])))
+        a: b
         for v in (0, 2)
+        for a, b in zip(g.in_arcs[v], g.out_arcs[v][1:] + g.out_arcs[v][:1])
     })
 
 

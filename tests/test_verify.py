@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import orthoseq.verify as verify
 from orthoseq.alphabet import Word, dna_alphabet
 from orthoseq.errors import GuardExceeded
 from orthoseq.verify import (
@@ -291,6 +292,15 @@ def test_exact_max_orthogonal_small_table():
     assert exact_max_orthogonal(3, 2, 2) == 4
 
 
-def test_exact_max_guard():
-    with pytest.raises(GuardExceeded):
-        exact_max_orthogonal(10, 5, 1, max_vertices=10)
+def test_exact_max_guard(monkeypatch):
+    with pytest.raises(GuardExceeded, match="exceeds guard"):
+        exact_max_orthogonal(4, 9)  # 4^9 vertices, past the default guard
+    monkeypatch.setattr(verify, "_MAX_VERTICES", 10)
+    with pytest.raises(GuardExceeded, match="exceeds guard 10"):
+        exact_max_orthogonal(10, 5, 1)
+
+
+def test_exact_max_node_guard(monkeypatch):
+    monkeypatch.setattr(verify, "_SEARCH_NODES", 10)
+    with pytest.raises(GuardExceeded, match="search exceeded 10 nodes"):
+        exact_max_orthogonal(3, 2, 1)
