@@ -50,11 +50,16 @@ class VerificationReport:
         if self.witness is not None:
             out["witness"] = render(self.witness)
         if self.counts is not None:
-            keys = sorted(self.counts)
-            # windows (nonempty tuples of ints, by exact type) render at C speed
-            if alphabet is not None and set(map(type, keys)) <= {tuple} and all(keys) and set(
+            keys = list(self.counts)
+            # windows: nonempty tuples of ints, by exact type, with one scan of the symbols
+            windows = set(map(type, keys)) <= {tuple} and all(keys) and set(
                 map(type, itertools.chain.from_iterable(keys))
-            ) <= {int}:
+            ) <= {int}
+            try:  # windows over symbols 0..255 sort as their bytes, in tuple order
+                keys.sort(key=bytes if windows else None)
+            except ValueError:  # a symbol past a byte
+                keys.sort()
+            if windows and alphabet is not None:  # render at C speed
                 names = alphabet.render_many(keys)
             else:
                 names = (str(render(k)) for k in keys)
@@ -280,45 +285,119 @@ def is_b_circuit(walk, graph, b: int) -> VerificationReport:
 # exhaustive enumeration (small instances only)
 
 
+_ENUMERATE_NODES = 100_000_000  # node guard of `enumerate_db_words`: arcs placed
+
+
 def enumerate_db_words(language: Iterable, max_results: int = 10_000) -> list[Word]:
     """All circular words containing each language word exactly once, up to
-    rotation, in lexicographic order.  Backtracking over word successions,
-    on an explicit stack so the depth is not bounded by the recursion limit.
-    Each succession starts at the least word and its windows are distinct, so
-    it is its own least rotation; symbols are appended in ascending order, so
-    the results come out distinct and sorted, with no canonicalizing pass."""
-    words = sorted(set(as_entries(w) for w in language))
+    rotation, in lexicographic order.
+
+    Such a word is an Eulerian circuit of the prefix graph, whose vertices
+    are the (k-1)-prefixes and where word w is an arc from w[:-1] to w[1:].
+    A language with a word whose suffix is no prefix, a vertex whose in- and
+    out-degree differ, or a word not reachable from the least word has no
+    circuit and gives [] at once.  Otherwise the search backtracks over
+    successions of words from the least one, trying successors in ascending
+    order, on an explicit stack so the depth is not bounded by the recursion
+    limit.  Each succession starts at the least word and its windows are
+    distinct, so it is its own least rotation; symbols are appended in
+    ascending order, so the results come out distinct and sorted.
+
+    Last-exit rule (BEST theorem): in an Eulerian circuit from the start
+    vertex s, the last arcs out of the other vertices form a tree directed
+    into s.  So once a vertex other than s has one unused out-arc left, that
+    arc is its last exit.  A move whose new last exit would close a cycle of
+    last exits is refused; such a move starts a subtree that holds no
+    circuit.  A vertex with one unused out-arc is left by that arc with no
+    choice point, the only child the plain search would try.  So the
+    results, their order and the count at which `max_results` raises are
+    those of the plain search.  Past `max_results` results or
+    `_ENUMERATE_NODES` arcs placed it raises GuardExceeded.
+    """
+    words = sorted(set(map(as_entries, language)))
     _require(bool(words), "language is empty")
     k = len(words[0])
     _require(all(len(w) == k for w in words), "language mixes word lengths")
-    # words are handled by their index in `words`; successions start at word 0
-    by_prefix: dict = defaultdict(list)
-    for i, w in enumerate(words):
-        by_prefix[w[:-1]].append(i)
-    successors = [by_prefix.get(w[1:], []) for w in words]
+    # word a is arc a, tails[a] -> heads[a]; the least word leaves vertex 0, the start
+    ids: dict = {}
+    tails = [ids.setdefault(w[:-1], len(ids)) for w in words]
+    heads = [ids.get(w[1:], -1) for w in words]
+    # a suffix that is no prefix (head -1) or an unbalanced vertex unbalances the multisets
+    if Counter(heads) != Counter(tails):
+        return []
+    outs: list[list[int]] = [[] for _ in ids]
+    for a, t in enumerate(tails):
+        outs[t].append(a)
+    # every vertex is a prefix, so every word is reached once every vertex is
+    reached = [True] + [False] * (len(ids) - 1)
+    todo = [0]
+    while todo:
+        for a in outs[todo.pop()]:
+            if not reached[heads[a]]:
+                reached[heads[a]] = True
+                todo.append(heads[a])
+    if not all(reached):
+        return []
+    # left[v]: v's unused out-arcs; last[v]: its last exit once left[v] is 1, else -1.
+    # The seeded last exits form no cycle, since every vertex reaches the start.
+    left = list(map(len, outs))
+    last = [o[0] if len(o) == 1 else -1 for o in outs]
     used = [False] * len(words)
-    path: list[int] = []
-    # stack[d] iterates the candidates for path[d]: the successors of path[d-1]
-    stack = [iter([0])]
+    first = [w[0] for w in words]
+    path = [0] * len(words)  # path[:depth] is the walk so far
+    depth = 0
+    # choice frames: vertex, its untried out-arcs, depth before the choice
+    stack = [(0, iter((0,)), 0)]
     results: list[Word] = []
+    nodes = 0
     while stack:
-        for v in stack[-1]:
-            if not used[v]:
-                break
+        u, arcs, base = stack[-1]
+        while depth > base:  # undo the frame's last choice and the moves it forced
+            depth -= 1
+            a = path[depth]
+            used[a] = False
+            left[tails[a]] += 1
+        if left[u] == 2:  # u's last exit was fixed by the choice just undone
+            last[u] = -1
+        for a in arcs:
+            if used[a]:
+                continue
+            if left[u] == 2:  # the other unused arc becomes u's last exit
+                for b in outs[u]:
+                    if b != a and not used[b]:
+                        break
+                if u:
+                    x = heads[b]
+                    while x and x != u and last[x] >= 0:
+                        x = heads[last[x]]
+                    if x == u:
+                        continue
+                last[u] = b
+            break
         else:
             stack.pop()
-            if path:
-                used[path.pop()] = False
             continue
-        if len(path) + 1 == len(words):
-            if words[v][1:] == words[0][:-1]:
-                if len(results) >= max_results:
-                    raise GuardExceeded(f"more than {max_results} sequences")
-                results.append(Word(tuple(words[i][0] for i in [*path, v]), circular=True))
-            continue
-        used[v] = True
-        path.append(v)
-        stack.append(iter(successors[v]))
+        used[a] = True
+        left[u] -= 1
+        path[depth] = a
+        depth += 1
+        v = heads[a]
+        while left[v] == 1:  # forced: v's last exit
+            a = last[v]
+            used[a] = True
+            left[v] = 0
+            path[depth] = a
+            depth += 1
+            v = heads[a]
+        nodes += depth - base
+        if nodes > _ENUMERATE_NODES:
+            raise GuardExceeded(f"enumeration exceeded {_ENUMERATE_NODES} nodes")
+        if left[v]:
+            stack.append((v, iter(outs[v]), depth))
+        elif depth == len(words):  # a balanced walk that used every arc is back at the start
+            if len(results) >= max_results:
+                raise GuardExceeded(f"more than {max_results} sequences")
+            results.append(Word(tuple(map(first.__getitem__, path)), circular=True))
     return results
 
 

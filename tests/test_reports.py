@@ -59,6 +59,10 @@ REPORTS = {
     "product-b-circuit": product_walk_report,
     # an empty window renders as "-", so it keeps the per-key render
     "empty-window": lambda: VerificationReport("windows", True, counts={(): 1, (0, 2): 2}),
+    # a window before its own extensions, as tuples and as bytes order them
+    "mixed-lengths": lambda: VerificationReport(
+        "windows", True, counts={(0, 2, 1): 1, (0, 2): 2, (1,): 1, (0, 2, 0): 3}
+    ),
 }
 ALPHABETS = {
     "none": None,
@@ -76,6 +80,14 @@ def test_to_json_dict_matches_the_per_key_render(make_report, alphabet):
     assert got == want
     assert list(got["counts"]) == list(want["counts"])
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("alphabet", [None, Alphabet(tuple(f"s{i}" for i in range(301)))])
+def test_windows_past_a_byte_keep_tuple_order(alphabet):
+    """Symbols outside 0..255 have no bytes key, so these windows sort as tuples."""
+    report = VerificationReport("windows", True, counts={(300, 1): 1, (2, 0): 3, (-1, 5): 2})
+    got, want = report.to_json_dict(alphabet), reference_json(report, alphabet)
+    assert list(got["counts"].items()) == list(want["counts"].items())
 
 
 @pytest.mark.parametrize("alphabet", [ALPHABETS["digits"], ALPHABETS["multi-character"]])

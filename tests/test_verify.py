@@ -10,14 +10,26 @@ windows; nothing here consults the construction code.
 from __future__ import annotations
 
 import ast
+import itertools
+import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orthoseq.verify as verify
-from orthoseq.alphabet import Word, dna_alphabet
+from orthoseq.alphabet import (
+    LanguageSpec,
+    Word,
+    as_entries,
+    default_alphabet,
+    dna_alphabet,
+    expand_language,
+)
 from orthoseq.errors import GuardExceeded
 from orthoseq.verify import (
+    _require,
     circular_window_counts,
     enumerate_db_words,
     exact_max_orthogonal,
@@ -223,8 +235,6 @@ def test_fixed_weight_rejects_outside_language():
 
 
 def test_enumerate_counts():
-    from orthoseq.alphabet import LanguageSpec, default_alphabet, expand_language
-
     def language(sigma: int, k: int):
         return expand_language(LanguageSpec("full", k), default_alphabet(sigma))
 
@@ -234,16 +244,12 @@ def test_enumerate_counts():
 
 
 def test_enumerated_words_pass_oracle():
-    from orthoseq.alphabet import LanguageSpec, default_alphabet, expand_language
-
     language = expand_language(LanguageSpec("full", 3), default_alphabet(2))
     for word in enumerate_db_words(language):
         assert is_de_bruijn(word, sigma=2, k=3).holds
 
 
 def test_enumerate_respects_guard():
-    from orthoseq.alphabet import LanguageSpec, default_alphabet, expand_language
-
     language = expand_language(LanguageSpec("full", 2), default_alphabet(3))
     with pytest.raises(GuardExceeded):
         enumerate_db_words(language, max_results=5)
@@ -268,14 +274,134 @@ ENUMERATED_LANGUAGES = (
 )
 
 
+def enumerated_language(kind, sigma, k, band) -> list:
+    alphabet = DNA if band else default_alphabet(sigma)
+    return expand_language(LanguageSpec(kind, k, *(band or (None, None))), alphabet)
+
+
 @pytest.mark.parametrize("kind,sigma,k,band", ENUMERATED_LANGUAGES)
 def test_enumerated_words_are_least_rotations_in_order(kind, sigma, k, band):
-    from orthoseq.alphabet import LanguageSpec, default_alphabet, expand_language
+    language = enumerated_language(kind, sigma, k, band)
+    found = enumerate_db_words(language)
+    assert found == canonicalize_and_sort(found) == reference_enumerate_db_words(language)
 
-    alphabet = DNA if band else default_alphabet(sigma)
-    spec = LanguageSpec(kind, k, *(band or (None, None)))
-    found = enumerate_db_words(expand_language(spec, alphabet))
-    assert found == canonicalize_and_sort(found)
+
+def reference_enumerate_db_words(language, max_results: int = 10_000) -> list[Word]:
+    """The plain backtracking search `enumerate_db_words` ran before the
+    last-exit rule: every succession of words from the least one, with no
+    pruning and no early exit on a language that has no circuit."""
+    words = sorted(set(as_entries(w) for w in language))
+    _require(bool(words), "language is empty")
+    k = len(words[0])
+    _require(all(len(w) == k for w in words), "language mixes word lengths")
+    # words are handled by their index in `words`; successions start at word 0
+    by_prefix: dict = defaultdict(list)
+    for i, w in enumerate(words):
+        by_prefix[w[:-1]].append(i)
+    successors = [by_prefix.get(w[1:], []) for w in words]
+    used = [False] * len(words)
+    path: list[int] = []
+    # stack[d] iterates the candidates for path[d]: the successors of path[d-1]
+    stack = [iter([0])]
+    results: list[Word] = []
+    while stack:
+        for v in stack[-1]:
+            if not used[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
+            continue
+        if len(path) + 1 == len(words):
+            if words[v][1:] == words[0][:-1]:
+                if len(results) >= max_results:
+                    raise GuardExceeded(f"more than {max_results} sequences")
+                results.append(Word(tuple(words[i][0] for i in [*path, v]), circular=True))
+            continue
+        used[v] = True
+        path.append(v)
+        stack.append(iter(successors[v]))
+    return results
+
+
+def enumeration_outcome(enumerate_fn, language, max_results):
+    try:
+        return enumerate_fn(language, max_results=max_results)
+    except GuardExceeded as exc:
+        return str(exc)
+
+
+# word graphs small enough for the reference to exhaust every trail from the start
+BALANCED_GRAPHS = [(2, k) for k in range(1, 6)] + [(3, 1), (3, 2), (4, 1)]
+UNBALANCED_GRAPHS = [(2, k) for k in range(1, 5)] + [(3, 1), (3, 2), (4, 1)]
+
+
+@st.composite
+def balanced_languages(draw):
+    """Unions of arc-disjoint closed trails in a small de Bruijn graph: every
+    vertex has in-degree equal to out-degree, and the union may fall into
+    several components."""
+    sigma, k = draw(st.sampled_from(BALANCED_GRAPHS))
+    rng = draw(st.randoms(use_true_random=False))
+    unused = sorted(itertools.product(range(sigma), repeat=k))
+    language = []
+    for _ in range(draw(st.integers(1, 3))):
+        if not unused:
+            break
+        start = vertex = rng.choice(unused)[:-1]
+        while True:
+            # the unused arcs stay balanced, so a trail can stop only at its start
+            out = [w for w in unused if w[:-1] == vertex]
+            if vertex == start and language and (not out or rng.random() < 0.2):
+                break
+            word = rng.choice(out)
+            unused.remove(word)
+            language.append(word)
+            vertex = word[1:]
+    return language
+
+
+@st.composite
+def unbalanced_languages(draw):
+    sigma, k = draw(st.sampled_from(UNBALANCED_GRAPHS))
+    words = list(itertools.product(range(sigma), repeat=k))
+    return draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+
+
+@given(
+    language=st.one_of(
+        st.sampled_from(ENUMERATED_LANGUAGES).map(lambda row: enumerated_language(*row)),
+        balanced_languages(),
+        unbalanced_languages(),
+    ),
+    max_results=st.sampled_from([1, 5, 100, 10_000]),
+)
+@settings(max_examples=120, deadline=None)
+def test_enumeration_matches_the_plain_search(language, max_results):
+    """Same results in the same order, and GuardExceeded at the same count."""
+    assert enumeration_outcome(enumerate_db_words, language, max_results) == enumeration_outcome(
+        reference_enumerate_db_words, language, max_results
+    )
+
+
+def test_a_language_without_a_circuit_ends_at_once():
+    """The plain search tries every succession of words from the least one
+    before it gives up: on the first language that is over 60 s, and the
+    second holds all 2^26 binary de Bruijn sequences of order 6."""
+    full = list(itertools.product(range(2), repeat=6))
+    unbalanced = [w for w in full if w != (1, 0, 1, 0, 1, 0)]
+    two_components = full + [(2,) * 6]  # a loop at the vertex 22222, reached from no binary word
+    for language in (unbalanced, two_components):
+        start = time.perf_counter()
+        assert enumerate_db_words(language) == []
+        assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_node_guard(monkeypatch):
+    monkeypatch.setattr(verify, "_ENUMERATE_NODES", 10)
+    with pytest.raises(GuardExceeded, match="enumeration exceeded 10 nodes"):
+        enumerate_db_words(itertools.product(range(2), repeat=4))
 
 
 def test_exact_max_orthogonal_runs_past_the_recursion_limit():
