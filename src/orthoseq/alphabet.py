@@ -29,6 +29,9 @@ class Alphabet:
             raise ParameterOutOfRange("alphabet tokens must be distinct")
         if not self.tokens:
             raise ParameterOutOfRange("alphabet must be nonempty")
+        # parse splits words at whitespace: an empty token, or one holding any, would not come back
+        if any(not isinstance(t, str) or t.split() != [t] for t in self.tokens):
+            raise ParameterOutOfRange("alphabet tokens must be nonempty strings without whitespace")
         for i in self.weighted:  # symbol indices: a token, a float or a bool is none
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(self.tokens):
                 raise ParameterOutOfRange(f"weighted symbol {i!r} not in 0..{self.sigma - 1}")

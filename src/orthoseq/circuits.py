@@ -203,71 +203,74 @@ def find_eulerian_circuit(graph: DirectedMultigraph,
 # `nxt` over the segments between their arrivals: segment i ends with a
 # block in-arc, and the out-arc wired after that in-arc begins segment
 # nxt[i] (Kotzig's transition moves, 1968; cycle joining as in Fredricksen,
-# 1982):
+# 1982); in the old walk it is i + 1.  The block avoids the wirings of the
+# forbidden circuits, or else of the circuit itself, read once into a ban
+# table: bad[i] holds the segments that may not follow segment i, those that
+# begin with a successor of its last in-arc in one of those circuits.
 #
-# 1. At each block vertex, `_matching` picks a perfect matching of in-arcs to
-#    out-arcs that avoids the banned pairs: a greedy pick over the old
-#    successors, then augmenting paths for the in-arcs left over.  With the
-#    own wiring banned the pick is the old successors shifted back by two
-#    arrivals, which at a lone vertex is the reversed segment order, one
-#    cycle.  Given t <= floor(d/2) - 1 forbidden circuits, the banned pairs
-#    are t disjoint matchings, so the allowed pairs are (d - t)-regular and
-#    a perfect matching exists (Koenig).
+# 1. At each block vertex, `_matching` picks a perfect matching of the
+#    segments ending there to their old successors that avoids the bans: a
+#    greedy pick over the old successors, then augmenting paths for the
+#    segments left over.  With the own wiring banned the pick is the old
+#    successors shifted back by two arrivals, which at a lone vertex is the
+#    reversed segment order, one cycle.  Given t <= floor(d/2) - 1 forbidden
+#    circuits, the bans are t disjoint matchings, so the allowed pairs are
+#    (d - t)-regular and a perfect matching exists (Koenig).
 # 2. The segments then fall into cycles, labelled in one pass.
-# 3. Two in-arcs of one block vertex on different cycles swap successors
-#    when both new pairs are allowed, which joins their two cycles into one;
-#    a union-find tracks the joins.  Passes over the block repeat while more
-#    than one cycle is left.  When a pass joins nothing, the walk between two
-#    arrivals at the first block vertex whose in-arcs lie on different cycles
-#    is taken as one path each, and `_rewire_search` wires those d paths into
-#    a single cycle, joining every cycle through that vertex.  Some block
-#    vertex always has in-arcs on two cycles while more than one is left: the
-#    old walk goes from a segment on one to a segment on another through a
-#    block vertex.  Each path keeps at least d/2 allowed successors and
-#    predecessors other than itself (the bans are t <= floor(d/2) - 1
-#    disjoint matchings, or the own wiring), so a single cycle through
-#    allowed pairs exists (Ghouila-Houri, 1960) and the search finds one.
+# 3. Two segments ending at one block vertex on different cycles swap
+#    successors when neither new successor is banned, which joins their two
+#    cycles into one; a union-find tracks the joins.  Passes over the block
+#    repeat while more than one cycle is left.  When a pass joins nothing,
+#    the walk between two arrivals at the first block vertex whose segments
+#    lie on different cycles is taken as one path each, and `_rewire_search`
+#    orders those d paths into a single cycle, joining every cycle through
+#    that vertex.  Some block vertex always has segments on two cycles while
+#    more than one is left: the old walk goes from a segment on one to a
+#    segment on another through a block vertex.  Each path keeps at least
+#    d/2 allowed successors and predecessors other than itself (the bans are
+#    t <= floor(d/2) - 1 disjoint matchings, or the own wiring), so a single
+#    cycle through allowed pairs exists (Ghouila-Houri, 1960) and the search
+#    finds one.
 # 4. The segments are laid out once along nxt by C-level slices, from the one
 #    that holds the walk's first arc, and the walk is validated once as a
 #    Circuit.  A closed walk that misses arcs passes that validation, so a
 #    walk shorter than the input is raised.
 #
 # A block of |B| vertices with S arrivals in all costs O(|A|) in C-level
-# dict and slice work, O(S log S) to sort the arrivals and O(|B| d^2) pair
+# dict and slice work, O(S log S) to sort the arrivals and O(|B| d^2) ban
 # checks per joining pass.
 
 _SEARCH_NODES = 10**6  # node guard of `_rewire_search`
 
 
-def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
-    """A matching of in-arcs to out-arcs that avoids the `banned` (in, out)
-    pairs and whose segment permutation is a single cycle; None if there is
-    none.
+def _rewire_search(ends: Sequence[int], starts: Sequence[int], bad: Sequence):
+    """An order of d paths into a single cycle in which no path begins with
+    a segment that `bad` bans after the last segment of the path before it;
+    None if there is none.
 
-    Segment j ends with in-arc ends[j] and begins with out-arc starts[j].  The
-    result maps each segment to the one that follows it: succ[j] = t wires
-    ends[j] to starts[t].
+    Path j ends with segment ends[j] and begins with segment starts[j].  The
+    result maps each path to the one that follows it: succ[j] = t puts
+    starts[t] after ends[j].
 
-    A depth-first search over segment orders from segment 0, on an explicit
-    stack.  After segment j it tries j + 1 first (the old order), then j - 1,
-    j - 2, ... (the reversed order), so a ban on the old order alone is
-    answered by the reversed order without backtracking.  It is complete but
-    exponential in the worst case; past a fixed number of nodes it raises
-    GuardExceeded.
+    A depth-first search over path orders from path 0, on an explicit stack.
+    After path j it tries j + 1 first (the old order), then j - 1, j - 2, ...
+    (the reversed order), so a ban on the old order alone is answered by the
+    reversed order without backtracking.  It is complete but exponential in
+    the worst case; past a fixed number of nodes it raises GuardExceeded.
     """
     d = len(ends)
     options = [
         [y for y in ((j + s) % d for s in (1, *range(d - 1, 1, -1)))
-         if (ends[j], starts[y]) not in banned]
+         if starts[y] not in bad[ends[j]]]
         for j in range(d)
     ]
-    order = [0]  # the segments placed so far, in cycle order
+    order = [0]  # the paths placed so far, in cycle order
     placed = [True] + [False] * (d - 1)
     stack = [iter(options[0])]
     nodes = 0
     while stack:
         y = next((y for y in stack[-1] if not placed[y]), None)
-        if y is None:  # no segment left to try here: step back
+        if y is None:  # no path left to try here: step back
             stack.pop()
             placed[order.pop()] = False
             continue
@@ -275,7 +278,7 @@ def _rewire_search(ends: Sequence[int], starts: Sequence[int], banned: set):
         if nodes > _SEARCH_NODES:
             raise GuardExceeded(f"rewiring search passed {_SEARCH_NODES} nodes at degree {d}")
         if len(order) == d - 1:
-            if (ends[y], starts[0]) not in banned:
+            if starts[0] not in bad[ends[y]]:
                 succ = dict(zip(order + [y], order[1:] + [y, 0]))
                 return [succ[j] for j in range(d)]
             continue
@@ -299,18 +302,18 @@ def _reverse_threes(g: DirectedMultigraph, seq: Sequence[int], vertices: list[in
     return arcs
 
 
-def _augment(j: int, ins, outs, bans: set, new: list, owner: dict) -> bool:
-    """Place in-arc j by one breadth-first augmenting path; False if none."""
-    parent: dict[int, int] = {}  # out-arc -> the in-arc index it was reached from
+def _augment(j: int, ins, outs, bad, new: list, owner: dict) -> bool:
+    """Place segment ins[j] by one breadth-first augmenting path; False if none."""
+    parent: dict[int, int] = {}  # successor -> the index in ins it was reached from
     frontier = [j]
     while frontier:
         reached = []
         for i in frontier:
             for o in outs:
-                if o in parent or (ins[i], o) in bans:
+                if o in parent or o in bad[ins[i]]:
                     continue
                 parent[o] = i
-                if o not in owner:  # free: shift every out-arc back along the path
+                if o not in owner:  # free: shift every successor back along the path
                     while o is not None:
                         i = parent[o]
                         new[i], owner[o], o = o, i, new[i]
@@ -320,50 +323,55 @@ def _augment(j: int, ins, outs, bans: set, new: list, owner: dict) -> bool:
     return False
 
 
-def _matching(ins, outs, bans: set) -> Optional[list]:
-    """new[j], the out-arc to wire after in-arc ins[j], for a perfect
-    matching that avoids `bans`; None if there is none.
+def _matching(ins, outs, bad) -> Optional[list]:
+    """new[j], the segment to put after segment ins[j], for a perfect
+    matching onto `outs` that `bad` allows; None if there is none.
 
-    ins lists a vertex's in-arcs in arrival order and outs[j] is the old
-    successor of ins[j].  In-arc j takes the first allowed, unused one of
-    outs[j], outs[j - 2], outs[j - 3], ..., outs[j - d + 1] and last
-    outs[j - 1]; augmenting paths then place the in-arcs left over.
+    ins lists the segments that end at one vertex, in arrival order, and
+    outs[j] is the old successor of ins[j].  Segment j takes the first
+    allowed, unused one of outs[j], outs[j - 2], outs[j - 3], ...,
+    outs[j - d + 1] and last outs[j - 1]; augmenting paths then place the
+    segments left over.
     """
     d = len(ins)
     new: list = [None] * d
-    owner: dict[int, int] = {}  # out-arc -> index of the in-arc it follows
+    owner: dict[int, int] = {}  # successor -> index in ins of the segment it follows
     for j in range(d):
         for s in (0, *range(2, d), 1):
             o = outs[(j - s) % d]
-            if o not in owner and (ins[j], o) not in bans:
+            if o not in owner and o not in bad[ins[j]]:
                 new[j], owner[o] = o, j
                 break
     for j in range(d):
-        if new[j] is None and not _augment(j, ins, outs, bans, new, owner):
+        if new[j] is None and not _augment(j, ins, outs, bad, new, owner):
             return None
     return new
 
 
 def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos: dict,
-                banned: list[set]) -> tuple:
+                avoid: list[dict]) -> tuple:
     """The block's arc sequence rewired by matching and cycle joining, from
-    seq[0]."""
+    seq[0], avoiding the wirings of the circuits whose successor maps are
+    `avoid`."""
     n = len(seq)
     cuts = sorted(pos[a] for v in block for a in g.in_arcs[v])  # segment i ends at cuts[i]
     count = len(cuts)
-    seg_of_end = {seq[p]: i for i, p in enumerate(cuts)}
+    last = list(map(seq.__getitem__, cuts))  # last[i] ends segment i
     first = [seq[(p + 1) % n] for p in cuts[-1:] + cuts[:-1]]  # first[i] begins segment i
     seg_of_first = dict(zip(first, range(count)))
+    # a successor that begins no segment maps to None, which bans nothing
+    bad = list(zip(*(map(seg_of_first.get, map(s.__getitem__, last)) for s in avoid)))
+    bad = bad or [()] * count  # no circuit to avoid
+    segs: dict = {v: [] for v in block}  # per block vertex, its segments in arrival order
+    for i, v in enumerate(map(g.heads.__getitem__, last)):
+        segs[v].append(i)
     nxt = [0] * count
-    segs = []  # per block vertex, the segments its in-arcs end, in arrival order
-    for v, bans in zip(block, banned):
-        ins = sorted(g.in_arcs[v], key=pos.__getitem__)
-        new = _matching(ins, [seq[(pos[a] + 1) % n] for a in ins], bans)
+    for v, ends in segs.items():
+        new = _matching(ends, [(i + 1) % count for i in ends], bad)
         if new is None:
             raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
-        segs.append([seg_of_end[a] for a in ins])
-        for a, o in zip(ins, new):
-            nxt[seg_of_end[a]] = seg_of_first[o]
+        for i, j in zip(ends, new):
+            nxt[i] = j
 
     cyc = [-1] * count  # cycle label of each segment
     cycles = 0
@@ -382,7 +390,7 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos
             x = root[x]
         return x
 
-    def rejoin(v: int, ends: list, bans: set):
+    def rejoin(v: int, ends: list):
         """Put every path between two arrivals at vertex v on one cycle."""
         here = set(ends)
         begins, stops = [], []  # path j runs from segment begins[j] to stops[j]
@@ -392,7 +400,7 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos
             while t not in here:
                 t = nxt[t]
             stops.append(t)
-        succ = _rewire_search([seq[cuts[e]] for e in stops], [first[b] for b in begins], bans)
+        succ = _rewire_search(stops, begins, bad)
         if succ is None:
             raise SearchExhausted(f"no acceptable rewiring at vertex {g.vertex_labels[v]!r}")
         for e, j in zip(stops, succ):
@@ -400,15 +408,13 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos
 
     while cycles > 1:
         joined = False
-        for ends, bans in zip(segs, banned):
+        for ends in segs.values():
             if len({find(cyc[s]) for s in ends}) == 1:
-                continue  # every in-arc here is on one cycle already
+                continue  # every segment here is on one cycle already
             for x, sx in enumerate(ends):
                 for sy in ends[x + 1 :]:
                     rx, ry = find(cyc[sx]), find(cyc[sy])
-                    if rx != ry and (seq[cuts[sx]], first[nxt[sy]]) not in bans and (
-                        seq[cuts[sy]], first[nxt[sx]]
-                    ) not in bans:
+                    if rx != ry and nxt[sy] not in bad[sx] and nxt[sx] not in bad[sy]:
                         nxt[sx], nxt[sy] = nxt[sy], nxt[sx]
                         root[rx] = ry
                         cycles -= 1
@@ -418,11 +424,11 @@ def _join_block(g: DirectedMultigraph, block: list[int], seq: Sequence[int], pos
         if joined:
             continue
         # no 2-swap fits: join every cycle through the first vertex that touches two
-        for v, ends, bans in zip(block, segs, banned):
+        for v, ends in segs.items():
             roots = {find(cyc[s]) for s in ends}
             if len(roots) > 1:
                 break
-        rejoin(v, ends, bans)
+        rejoin(v, ends)
         ry = roots.pop()
         for rx in roots:
             root[rx] = ry
@@ -475,12 +481,13 @@ def rewire_vertex_set(
     """Rewire a block of vertices, keeping the wiring at every other vertex.
 
     A block is a set of vertices rewired at once, not a fold of one-vertex
-    rewires, so a vertex listed twice raises ParameterOutOfRange.  Without
-    `forbidden`, each block vertex gets a wiring that shares no pair with its
-    old one (degree >= 3).  Given `forbidden`, each avoids every pair the
-    forbidden circuits use there (t <= floor(deg/2) - 1 of them, so none at
-    degree 3).  The circuit must traverse each in-arc of every block vertex
-    exactly once, and so must each forbidden circuit; otherwise
+    rewires, so a vertex listed twice raises ParameterOutOfRange.  Each block
+    vertex gets a wiring that shares no pair with the wirings of the
+    `forbidden` circuits there (t <= floor(deg/2) - 1 of them, so none at
+    degree 3).  Without `forbidden`, the circuit is rewired given itself:
+    each block vertex gets a wiring that shares no pair with its old one
+    (degree >= 3).  The circuit must traverse each in-arc of every block
+    vertex exactly once, and so must each forbidden circuit; otherwise
     ParameterOutOfRange.  Degree-3 vertices get the reversed order of their
     segments, in block order; the other block vertices are then rewired
     together by cycle joining.  A block with no degree-3 vertex keeps the
@@ -492,48 +499,36 @@ def rewire_vertex_set(
     pos = dict(zip(seq, range(n)))
     if len(pos) != n:
         raise ParameterOutOfRange("circuit repeats an arc")
-    successors = None if forbidden is None else [_successors(c) for c in forbidden]
+    avoid = [_successors(c) for c in ([circuit] if forbidden is None else forbidden)]
     block = list(vertices)
     if len(set(block)) != len(block):
         raise ParameterOutOfRange("a vertex is listed twice in the block")
     threes, rest = [], []
-    banned = []  # per vertex of `rest`, the (in, out) pairs its new wiring avoids
     for v in block:
         ins = g.in_arcs[v]
         deg = len(ins)
         label = g.vertex_labels[v]
         if deg != g.out_degree(v):
             raise DegreeMismatch(label, deg, g.out_degree(v))
-        if successors is None:
+        if forbidden is None:
             if deg <= 2:
                 raise InsufficientDegree(f"rewiring needs degree >= 3, vertex {label!r} has {deg}")
-        elif len(successors) > deg // 2 - 1:
+        elif len(avoid) > deg // 2 - 1:
             raise TooManyForbidden(
-                f"{len(successors)} forbidden circuits at degree {deg}; "
+                f"{len(avoid)} forbidden circuits at degree {deg}; "
                 f"at most {deg // 2 - 1} supported"
             )
-        try:
-            old = [seq[(pos[a] + 1) % n] for a in ins]
-        except KeyError:
-            raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}") from None
-        if deg == 3:
-            threes.append(v)
-            continue
-        rest.append(v)
-        if successors is None:
-            banned.append(set(zip(ins, old)))
-        else:
-            try:
-                banned.append({(a, s[a]) for s in successors for a in ins})
-            except KeyError:
-                raise ParameterOutOfRange(
-                    f"a forbidden circuit misses an in-arc of vertex {label!r}"
-                ) from None
-    if threes:  # no other vertex's wiring changes, so `banned` still holds
+        if not all(map(pos.__contains__, ins)):
+            raise ParameterOutOfRange(f"circuit misses an in-arc of vertex {label!r}")
+        # the circuit itself misses none, so this names only a forbidden one
+        if not all(all(map(s.__contains__, ins)) for s in avoid):
+            raise ParameterOutOfRange(f"a forbidden circuit misses an in-arc of vertex {label!r}")
+        (threes if deg == 3 else rest).append(v)
+    if threes:  # no other vertex's wiring changes, so `avoid` still holds
         seq = _reverse_threes(g, seq, threes)
         pos = dict(zip(seq, range(n)))
     if rest:
-        seq = _join_block(g, rest, seq, pos, banned)
+        seq = _join_block(g, rest, seq, pos, avoid)
     return Circuit(g, seq)
 
 

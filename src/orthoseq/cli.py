@@ -121,6 +121,9 @@ def _alphabet_from_args(args, required: bool = True) -> Optional[Alphabet]:
         tokens = base.tokens
         weighted = base.weighted
     elif args.alphabet is not None:
+        if "#" in args.alphabet:  # a word starting with it would read as a comment
+            raise ParameterOutOfRange(
+                "--alphabet may not hold '#', which starts a comment in --words-file")
         tokens = tuple(args.alphabet)
         weighted = frozenset()
     elif args.sigma is not None:

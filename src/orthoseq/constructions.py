@@ -586,11 +586,8 @@ def construct_fixed_weight_kautz_orthogonal(
         # single-class band: plain traversal of the sub-alphabet language
         m = 1
     else:
-        degs = list(map(len, graph.in_arcs))
-        split_degrees = [d for d in degs if d < delta]
+        split_degrees = [d for d in map(len, graph.in_arcs) if d < delta]
         m = min(min(split_degrees, default=delta), delta // 2)
-        if k == 2 and not any(d == delta for d in degs):
-            m = 1  # no full-degree vertex to rewire at
     parameters = {"k": k, "w_min": w_min, "w_max": w_max}
     return _fixed_weight_result("fixed-weight-kautz", parameters, alphabet, graph, m)
 

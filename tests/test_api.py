@@ -85,6 +85,14 @@ def test_render_and_parse_are_inverse_on_mixed_token_lengths():
     assert orthoseq.dna_alphabet().render((0, 2)) == "AC"
 
 
+@pytest.mark.parametrize("tokens", [("", "A"), ("A", "B C"), ("A", " "), ("A\t", "B"), ("A", 1)])
+def test_tokens_must_survive_render_and_parse(tokens):
+    # parse splits a word at whitespace: with ("", "A") the word (0, 1, 0)
+    # renders as " A " and would read back as (1,)
+    with pytest.raises(ParameterOutOfRange, match="nonempty strings without whitespace"):
+        orthoseq.Alphabet(tokens)
+
+
 @pytest.mark.parametrize("weighted", [{"C"}, {1.5}, {2.0}, {True}, {4}, {-1}])
 def test_weighted_entries_must_be_symbol_indices(weighted):
     # a token, a float or a bool is no symbol index: {1.5} would otherwise give

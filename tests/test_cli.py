@@ -109,6 +109,19 @@ def test_unwritable_or_missing_file_is_two(capsys, tmp_path):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_an_alphabet_holding_the_comment_mark_is_refused(capsys, tmp_path):
+    # '#' starts a comment in --words-file: a collection whose words begin with
+    # it used to verify from its other words alone, one of four here, and pass
+    refusal = "error: --alphabet may not hold '#', which starts a comment in --words-file\n"
+    code = main(["generate", "--family", "de-bruijn", "--alphabet", "#AB", "-k", "2", "--ell", "2"])
+    assert (code, *capsys.readouterr()) == (2, "", refusal)
+    words = tmp_path / "words.txt"
+    words.write_text("#A#BAABB#\n#BAABB#A#\n#AA##BBAB\nBBAB##AA#\n")
+    code = main(["verify", "--property", "de-bruijn", "--alphabet", "#AB", "-k", "2", "--ell", "2",
+                 "--words-file", str(words)])
+    assert (code, *capsys.readouterr()) == (2, "", refusal)
+
+
 def test_closed_stdout_is_not_a_usage_error(monkeypatch, tmp_path):
     # e.g. `orthoseq enumerate ... | head`: neither 2 (usage) nor 1 (a failed property)
     target = tmp_path / "stdout"

@@ -3,9 +3,11 @@
 Each entry is the SHA-256 of (exit code, stdout, stderr) from running `main`
 in process on one command: every family under its canonical name and its
 alias in all four formats, `enumerate` over full, Kautz and weight-band
-languages, `verify` passing and failing in text and JSON, `export`, the
-parameter errors, and both help screens.  A refactor must leave every hash unchanged; a deliberate
-output change updates the hash and says why in CHANGES.md.
+languages, `verify` passing and failing on every property, in text and
+JSON, `export`, the parameter errors of `generate` and `verify`, the
+refusal of an alphabet holding the comment mark, and both help screens.  A
+refactor must leave every hash unchanged; a deliberate output change
+updates the hash and says why in CHANGES.md.
 
 argparse wraps its help and usage text to the terminal width, so COLUMNS is
 pinned to 80.  Its wording also moves between Python versions; the hashes of
@@ -98,8 +100,19 @@ GOLDEN = {
     "verify --property de-bruijn --sigma 3 -k 2 --word 012002212 --format json": "5d63b8eee1a29a13c62654ebdb9b28eb4b90e78dd508f8a1303383f0a9c162b9",
     "verify --property de-bruijn --sigma 3 -k 2 --word 010211220 --word 011002212 --ell 1 --format json": "5de48c700a8f27cb13226b45d73090685946fef3aaede62c8c7c030a8c0e0a81",
     "verify --property self-orthogonal --sigma 3 -k 2 --word 000111222020212101": "769579a2d9ad93dd73f3f2667bea9200e5246d637b3c969fdb46ca8b4a9a6bcd",
+    "verify --property self-orthogonal --sigma 4 -k 2 --word 22101312000230330102031113212233": "aea6291694d725dd590c418f6c7f7de735b79041f60ff8f40f4df7a438d205ae",
     "verify --property balanced --sigma 4 -k 2 -b 2 --word 0011223300112233": "7d946f7039a27a6fd6f39cde1a6bf55f32f4b56f462e436c15b8d478e560188a",
     "verify --property balanced --sigma 4 -k 2 -b 2 --ell 1 --word 22101312000230330102031113212233": "b4f761981b41c1625f0ac708cace2aa7676e37e3280ece826a21a5785266b65d",
+    "verify --property kautz --sigma 4 -k 2 --word 102031213230": "4f038df03dc64e94a44ef478cb5ba0c6890a73a7c9f9a8188cfa75c0e9165490",
+    "verify --property kautz --sigma 4 -k 2 --word 102031213231": "21a55d720b640ddd8354cbeb8ffde841e51ce2662cd0d8aa5b13798705df66df",
+    "verify --property balanced-kautz --sigma 5 -k 2 -b 1 --word 02030412131423243401": "8ef5dc98afe1cd4132d8be7455f9b108115afcb8059df34ee0e13b25570f7d69",
+    "verify --property balanced-kautz --sigma 5 -k 2 -b 1 --word 02030412131423243402": "36daef14f951b9d9a2d60c0d4df7b523cb5342aea547b0ca093d6b25acf0db2d",
+    "verify --property fixed-weight --dna -k 4 --weight 3 --word CATCCACACTCACCTACCCAGACAGTCAGCAAGCTAGCGAACGATCGACTGACCGAGAGTGAGGAAGGTAGGCATGCACGTACGCAGGGATGGTTGGCTTGCTCTCCTTCCCTCGTTCGCTGTCTGCCTGGGTCCGTCGGTGTGCGTGGACGGAGCCAAC": "2eeb888b6fa44e98795debc3c83e1a1a8146e45202c850da398e5c4ebc20069c",
+    "verify --property fixed-weight --dna -k 4 --weight 3 --word CATCCACACTCACCTACCCAGACAGTCAGCAAGCTAGCGAACGATCGACTGACCGAGAGTGAGGAAGGTAGGCATGCACGTACGCAGGGATGGTTGGCTTGCTCTCCTTCCCTCGTTCGCTGTCTGCCTGGGTCCGTCGGTGTGCGTGGACGGAGCCAAA": "7328f57f0ea40c8fea0c189f24539d1c3c5dd249a21158f5b1a63132425ac654",
+    "verify --property fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --word CATGACACTACGAGTAGCTCTGTCGTGCAGAT": "3433615a471fda939dbfaa19d9925783b838268bcf2bf8a9d68f6e59b36645ba",
+    "verify --property fixed-weight-kautz --alphabet ATCG --weighted CG -k 3 --band 1 2 --word CATGACACTACGAGTAGCTCTGTCGTGCAGAA": "f908a627bab7e779831a75ece458b3285d2a28d0502c3f2b28721b013ca84312",
+    "verify --property orthogonal --sigma 3 -k 2 --word 010211220 --word 011002212": "8202236750590f7ee04e8f98901d0cbc239e05b0eebada90ccf0dbe0ba2c1770",
+    "verify --property orthogonal --sigma 3 -k 2 --word 010211220 --word 010211220": "bf341290b2173cc670bfabcae8c07e12c3b1ffa18f745a1ea27f7269c01c4b51",
     "export --sigma 3 -k 2": "34c9586f5a895ed1bbab573a429c4233a4c0b18a315c4c97f4cbcdd6df795729",
     "export --dna -k 3 --kautz --band 1 1 --format json": "8efe39098807012de55090c65e6bb65bba486cf9121625867fa9a7852bcd17aa",
     "generate --family balanced-de-bruijn -b 2": "5882c49dc74b4996fecb5420c30fcb5042eb0f194d2f430e044fd1b3a5707e97",
@@ -110,6 +123,15 @@ GOLDEN = {
     "generate --family fw-kautz --dna -k 3": "01bd057d630a4e6026231d8ebdf1e36800c65f620dca6dd8bef6ea3a7191f73a",
     "generate --family fixed-weight-kautz --sigma 4 -k 3 --band 1 2": "993b6691076720c3b2b1b5de4fe604b207e7ea00d2daa920ef740c91c84957c3",
     "generate --family de-bruijn -k 2": "ce00225041d511fbef580edacc7d7085b37c30b7ade693ba531254e964154986",
+    "verify --property balanced --sigma 4 -k 2 --word 0011223300112233": "b6f7afd999b9af78babdcfefa3a7bbb9d7542040a50e2509bd1e1f42bbe0307c",
+    "verify --property balanced-kautz --sigma 5 -k 2 --word 02030412131423243401": "48c680207ab05f4beb36a6916f2eacdb82e7f5a7c58712e9a58f563d268b519d",
+    "verify --property fixed-weight --dna -k 4 --word CATC": "5288ed2bddecc43c6afd914f160c5ad3ed025281873e4ce705be417292d63e76",
+    "verify --property fixed-weight-kautz --dna -k 3 --word CATG": "5a25c08833be8a329ad20903a5ecd09ef580f52704a6f98b23ccc57836f2c5b0",
+    "verify --property fixed-weight --sigma 4 -k 4 --weight 3 --word 0123": "35ed7e7f2da27e8f07674c7e1ead2ca3f61eae94670ed8c764ddde94c0dc41f1",
+    "verify --property de-bruijn --sigma 3 --alphabet ATCG -k 2 --word AT": "9e61640693305320354ca2baa6eebb9363a649f78a2915cbfa52e1d5e4020b78",
+    "verify --property fixed-weight --alphabet ATCG --weighted CX -k 4 --weight 3 --word ATCG": "d7694fe134a1f2ae83a445bfea55f30d2822c13e764e9b674b41b46dfe11051a",
+    "generate --family de-bruijn --alphabet #AB -k 2 --ell 2": "11c4de5ec07efc0fd0af3c3647b1f84f7ddcab53301ac369706d1dddfaf25bc6",
+    "verify --property de-bruijn --alphabet #AB -k 2 --ell 2 --word #A#BAABB# --word BBAB##AA#": "11c4de5ec07efc0fd0af3c3647b1f84f7ddcab53301ac369706d1dddfaf25bc6",
     "generate --family mystery --sigma 3": "c4de764a17299e8424a4a6ae35784864771bdc55a27f1f18f2d626160b872798",
     "generate --help": "a78e914d12e8a96eff1d3d01557cafa0d3e5778808a147452cd661dcd6a4589c",
     "--help": "1562975fd315b86194f9987993cab0e3a8e3627da20b2505e8beec9cb9f75494",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoseq.alphabet import Word, default_alphabet, dna_alphabet
+from orthoseq.alphabet import LanguageSpec, Word, default_alphabet, dna_alphabet
 from orthoseq.circuits import circuit_to_word, find_eulerian_circuit, word_to_circuit
 from orthoseq.constructions import (
     FAMILIES,
@@ -47,7 +47,7 @@ from orthoseq.errors import (
     ParameterOutOfRange,
     UnsupportedCase,
 )
-from orthoseq.graphs import build_de_bruijn_graph, tensor_product
+from orthoseq.graphs import build_de_bruijn_graph, build_language_graph, tensor_product
 from orthoseq.verify import (
     is_b_balanced,
     is_b_balanced_kautz,
@@ -581,6 +581,21 @@ def test_fixed_weight_kautz_all_feasible_bands(band):
     for word in result.words:
         assert is_fixed_weight_db(word, language).holds
     assert is_l_orthogonal(result.words, k=3, ell=1).holds
+
+
+def test_every_two_symbol_kautz_band_has_a_full_degree_vertex():
+    # why the k = 2 bands need no fallback to a plain traversal: with two or
+    # more symbols in each class, [0,1] leaves an unweighted vertex every
+    # other symbol can enter, [1,2] a weighted one and [0,2] every vertex
+    cases = 0
+    for sigma in range(4, 13):
+        for n_w in range(2, sigma - 1):
+            alphabet = default_alphabet(sigma, weighted=range(n_w))
+            for band in ((0, 1), (1, 2), (0, 2)):
+                graph = build_language_graph(LanguageSpec("kautz", 2, *band), alphabet)
+                assert sigma - 1 in map(len, graph.in_arcs), (sigma, n_w, band)
+                cases += 1
+    assert cases == 135
 
 
 def test_fixed_weight_kautz_rejects_infeasible_band():

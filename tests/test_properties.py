@@ -455,23 +455,24 @@ def disjoint_matchings(rnd, d: int, t: int) -> set:
     return used
 
 
-def has_single_cycle(ends, starts, banned) -> bool:
-    """Brute force: some order of the segments, read as a cycle, uses no
-    banned pair."""
+def has_single_cycle(ends, starts, bad) -> bool:
+    """Brute force: some order of the paths, read as a cycle, puts no path
+    after one whose end bans its start."""
     d = len(ends)
     for rest in itertools.permutations(range(1, d)):
         order = (0,) + rest
-        if all((ends[x], starts[y]) not in banned for x, y in zip(order, order[1:] + order[:1])):
+        if all(starts[y] not in bad[ends[x]] for x, y in zip(order, order[1:] + order[:1])):
             return True
     return False
 
 
 @st.composite
 def segment_layouts(draw):
-    """Segment j ends with in-arc ends[j] and begins with out-arc starts[j];
-    the two id sets may overlap, as loops make them do.  The bans are either
-    the old wiring (segment j + 1 after j), as `rewire` gives them, or
-    t <= d/2 - 1 pairwise-disjoint perfect matchings, as `rewire_given` does."""
+    """Path j ends with segment ends[j] and begins with segment starts[j];
+    the two id sets may overlap, as a segment both ends one path and begins
+    another.  The banned (end, start) pairs are either the old wiring (path
+    j + 1 after j), as `rewire` gives them, or t <= d/2 - 1 pairwise-disjoint
+    perfect matchings, as `rewire_given` does."""
     d = draw(st.integers(min_value=3, max_value=12))
     ids = st.integers(min_value=0, max_value=2 * d)
     ends = draw(st.lists(ids, min_size=d, max_size=d, unique=True))
@@ -496,7 +497,8 @@ SIX = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 0), (2, 1), (3, 2), (3, 4), (4, 3), (
 def test_matching_construction_gives_one_cycle_avoiding_the_bans(layout):
     ends, starts, banned = layout
     d = len(ends)
-    succ = _rewire_search(ends, starts, banned)
+    bad = {e: {o for a, o in banned if a == e} for e in ends}  # the ban table, by segment
+    succ = _rewire_search(ends, starts, bad)
     assert succ is not None
     assert sorted(succ) == list(range(d))
     seen, j = {0}, succ[0]
@@ -504,11 +506,11 @@ def test_matching_construction_gives_one_cycle_avoiding_the_bans(layout):
         seen.add(j)
         j = succ[j]
     assert len(seen) == d  # one d-cycle
-    assert not any((ends[j], starts[succ[j]]) in banned for j in range(d))
+    assert not any(starts[succ[j]] in bad[ends[j]] for j in range(d))
     if d <= 7:
-        assert has_single_cycle(ends, starts, banned)
+        assert has_single_cycle(ends, starts, bad)
     # cycle joining's matching, read with starts[j] as the old successor of
     # ends[j]: a perfect matching that avoids the bans, cycles or not
-    new = _matching(ends, starts, banned)
+    new = _matching(ends, starts, bad)
     assert sorted(new) == sorted(starts)
-    assert not any((a, o) in banned for a, o in zip(ends, new))
+    assert not any(o in bad[e] for e, o in zip(ends, new))

@@ -27,14 +27,18 @@ from orthoseq.alphabet import (
     dna_alphabet,
     expand_language,
 )
+from orthoseq.circuits import Circuit
 from orthoseq.errors import GuardExceeded
+from orthoseq.graphs import build_de_bruijn_graph
 from orthoseq.verify import (
     _require,
+    are_arc_disjoint,
     circular_window_counts,
     enumerate_db_words,
     exact_max_orthogonal,
     is_b_balanced,
     is_b_balanced_kautz,
+    is_b_circuit,
     is_de_bruijn,
     is_fixed_weight_db,
     is_kautz_word,
@@ -396,6 +400,29 @@ def test_a_language_without_a_circuit_ends_at_once():
         start = time.perf_counter()
         assert enumerate_db_words(language) == []
         assert time.perf_counter() - start < 1.0
+
+
+# arc ids of the (3,2) de Bruijn graph are base-3 words: 0, 4 and 8 are the
+# loops 00, 11 and 22, and 1, 3 the cycle 01 10
+DB32 = build_de_bruijn_graph(3, 2)
+
+
+def test_arc_disjoint_names_the_least_shared_arc():
+    assert are_arc_disjoint([Circuit(DB32, (0,)), Circuit(DB32, (4,))]).holds
+    walks = [Circuit(DB32, (8,)), Circuit(DB32, (4, 3, 1)), Circuit(DB32, (8, 7, 4, 5))]
+    shared = are_arc_disjoint(walks)
+    assert not shared.holds
+    assert shared.witness == 4  # 8 and 4 are both shared; the least is named
+    twice = are_arc_disjoint([Circuit(DB32, (3, 1, 3, 1))])  # twice in one walk
+    assert (twice.holds, twice.witness) == (False, 1)
+
+
+def test_b_circuit_names_a_wrong_graph_and_a_repeated_arc():
+    walk = Circuit(DB32, (1, 3))
+    wrong = is_b_circuit(walk, build_de_bruijn_graph(2, 2), 1)
+    assert (wrong.holds, wrong.witness) == (False, "wrong graph")
+    repeated = is_b_circuit(Circuit(DB32, (3, 1, 3, 1)), DB32, 2)
+    assert (repeated.holds, repeated.witness) == (False, ("repeated arc", 3))
 
 
 def test_enumerate_node_guard(monkeypatch):
